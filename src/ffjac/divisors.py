@@ -67,10 +67,6 @@ def finite_places_above(field, q: Poly):
     return [Place(field, True, pr) for pr in decompose_prime(o, q)]
 
 
-def degree_one_infinite_places(field):
-    return [pl for pl in infinite_places(field) if pl.degree() == 1]
-
-
 def find_finite_degree_one_place(field):
     """First place of degree one over a linear prime, or None."""
     p = field.p
@@ -186,6 +182,20 @@ class Divisor:
     def scale(self, k: int) -> "Divisor":
         vec = tuple(k * a for a in self.inf_vec)
         return Divisor(self.field, ideal_pow(self.fin, k), vec)
+
+    def finite_height(self) -> int:
+        """Sum of |v_P(D)| * deg(P) over the finite places, without factoring.
+
+        fin + O has valuations min(v_P, 0), so the sum is
+        deg(fin) - 2 * deg(fin + O).
+        """
+        fin = self.fin
+        if fin.is_integral():
+            return fin.norm_degree()
+        n, den, zero = fin.order.n, fin.den, Poly.zero(fin.order.p)
+        rows = fin.h + [[den if i == j else zero for j in range(n)]
+                        for i in range(n)]
+        return fin.norm_degree() - 2 * Ideal(fin.order, rows, den).norm_degree()
 
     def finite_support(self):
         """Sorted list of (Place, valuation) with nonzero valuation."""

@@ -89,11 +89,6 @@ def fqp_is_zero(f: list) -> bool:
     return not f
 
 
-def fqp_const(ctx: Fq, a: Poly) -> list:
-    a = ctx.reduce(a)
-    return [] if a.is_zero() else [a]
-
-
 def fqp_add(ctx: Fq, f: list, g: list) -> list:
     n = max(len(f), len(g))
     out = []
@@ -185,18 +180,6 @@ def fqp_derivative(ctx: Fq, f: list) -> list:
     for i in range(1, len(f)):
         out.append(f[i].scale(i % ctx.p))
     return fqp_trim(out)
-
-
-def fqp_eval(ctx: Fq, f: list, a: Poly) -> Poly:
-    acc = ctx.zero()
-    for c in reversed(f):
-        acc = ctx.reduce(acc * a + c)
-    return acc
-
-
-def fqp_from_poly(ctx: Fq, f: Poly) -> list:
-    """Lift a polynomial with F_p coefficients to coefficients in GF(q)."""
-    return fqp_trim([Poly.const(int(c), ctx.p) for c in f.c])
 
 
 def _fqp_pth_root_coeff(ctx: Fq, a: Poly) -> Poly:

@@ -10,8 +10,6 @@ power basis 1, t, ..., t^{n-1} over K(x) with a cleared denominator.
 
 from __future__ import annotations
 
-import json
-
 from .polys import (
     Poly,
     RatFunc,
@@ -114,11 +112,6 @@ class FunctionField:
 
     def __repr__(self):
         return "FunctionField(p=%d, n=%d, cf=%d)" % (self.p, self.n, self.cf)
-
-    def specialize(self, c: int) -> Poly:
-        """f(c, t) as a univariate polynomial over F_p."""
-        vals = [a.evaluate(c) for a in self.coeffs] + [1]
-        return Poly(vals, self.p)
 
     def _tpow_table(self):
         # coordinate rows of t^k mod f for k = n .. 2n-2
@@ -235,14 +228,6 @@ class FunctionField:
         if len(coeffs) != n:
             raise ValueError("coefficient count does not match degree")
         return FunctionField(coeffs, p, check=check)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_json(s: str, check: bool = True) -> "FunctionField":
-        return FunctionField.from_dict(json.loads(s), check=check)
-
 
 def make_field(p: int, n: int, coeffs, check: bool = True) -> FunctionField:
     """Validated construction from integer coefficient lists or Polys."""

@@ -17,36 +17,65 @@ from .orders import (Ideal, ideal_one, ideal_mul, ideal_inv,
 from .riemann_roch import _inf_profile, ssrr_reduce
 
 
-class OpCounters:
-    """Operation tallies shared by both maximal orders of a field."""
+# Entries per memo; a full memo still answers lookups but stores no more.
+MEMO_CAP = 4096
 
-    __slots__ = ("ssrr_calls", "partial_additions", "ssrr_cache_hits",
-                 "ssrr_cache_misses", "infinite_cache_hits",
-                 "infinite_cache_misses", "heights")
+
+class Memo:
+    """Memo of one cached primitive, with hit and miss tallies."""
+
+    __slots__ = ("data", "hits", "misses")
 
     def __init__(self):
+        self.data = {}
+        self.hits = self.misses = 0
+
+    def __len__(self):
+        return len(self.data)
+
+    def get(self, key, compute):
+        """The value stored under key, else compute(), kept if there is room."""
+        out = self.data.get(key)
+        if out is not None:
+            self.hits += 1
+            return out
+        self.misses += 1
+        out = compute()
+        if len(self.data) < MEMO_CAP:
+            self.data[key] = out
+        return out
+
+
+class OpCounters:
+    """Operation tallies of one context.
+
+    heights holds the lattice heights of the most recent reduction only;
+    the cache tallies are those of the context's two memos.
+    """
+
+    __slots__ = ("ssrr_calls", "partial_additions", "heights", "_inf",
+                 "_profiles")
+
+    def __init__(self, inf: Memo, profiles: Memo):
+        self._inf = inf
+        self._profiles = profiles
         self.reset()
 
     def reset(self):
         self.ssrr_calls = 0
         self.partial_additions = 0
-        self.ssrr_cache_hits = 0
-        self.ssrr_cache_misses = 0
-        self.infinite_cache_hits = 0
-        self.infinite_cache_misses = 0
         self.heights = []
-
-    def record_height(self, h: int):
-        self.heights.append(h)
+        for memo in (self._inf, self._profiles):
+            memo.hits = memo.misses = 0
 
     def as_dict(self):
         return {
             "ssrr_calls": self.ssrr_calls,
             "partial_additions": self.partial_additions,
-            "ssrr_cache_hits": self.ssrr_cache_hits,
-            "ssrr_cache_misses": self.ssrr_cache_misses,
-            "infinite_cache_hits": self.infinite_cache_hits,
-            "infinite_cache_misses": self.infinite_cache_misses,
+            "ssrr_cache_hits": self._profiles.hits,
+            "ssrr_cache_misses": self._profiles.misses,
+            "infinite_cache_hits": self._inf.hits,
+            "infinite_cache_misses": self._inf.misses,
         }
 
 
@@ -66,7 +95,9 @@ class JacElem:
         return (self.fin.key(), self.inf.key())
 
     def __eq__(self, other):
-        return isinstance(other, JacElem) and self.key() == other.key()
+        return (isinstance(other, JacElem)
+                and self.fin.order is other.fin.order
+                and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())
@@ -89,14 +120,13 @@ class JacobianCtx:
     """Arithmetic context: reduction place, strategy, caches, counters."""
 
     def __init__(self, field, strategy: str = "linear",
-                 caching: bool = True, cache_cap: int = None):
+                 caching: bool = True):
         if strategy not in ("linear", "binary"):
             raise ValueError("strategy must be linear or binary")
         self.field = field
         self.g = field.genus()
         self.strategy = strategy
         self.caching = bool(caching)
-        self.cache_cap = cache_cap
         places = infinite_places(field)
         deg1 = [i for i, pl in enumerate(places) if pl.degree() == 1]
         if not deg1:
@@ -106,11 +136,9 @@ class JacobianCtx:
         self.pa = self.A.prime
         self.places = places
         self.t = len(places)
-        self.inf_add_cache = {}
-        self.ssrr_profiles = {}
-        self.counters = OpCounters()
-        field.finite_order().counters = self.counters
-        field.infinite_order().counters = self.counters
+        self.inf_add_cache = Memo()
+        self.ssrr_profiles = Memo()
+        self.counters = OpCounters(self.inf_add_cache, self.ssrr_profiles)
         # reduction shifts reach these exponents; memoized uncounted
         self.pa.power(-1)
         self.pa.power(max(0, self.g - 1))
@@ -119,21 +147,16 @@ class JacobianCtx:
 
     # -- cached infinite-side primitives ----------------------------------
 
+    def _mul(self, a: Ideal, b: Ideal) -> Ideal:
+        self.counters.partial_additions += 1
+        return ideal_mul(a, b)
+
     def _inf_mul(self, a: Ideal, b: Ideal) -> Ideal:
         if not self.caching:
-            return ideal_mul(a, b)
-        key = (a.key(), b.key())
-        if key[0] > key[1]:
-            key = (key[1], key[0])
-        out = self.inf_add_cache.get(key)
-        if out is None:
-            self.counters.infinite_cache_misses += 1
-            out = ideal_mul(a, b)
-            if self.cache_cap is None or len(self.inf_add_cache) < self.cache_cap:
-                self.inf_add_cache[key] = out
-        else:
-            self.counters.infinite_cache_hits += 1
-        return out
+            return self._mul(a, b)
+        ka, kb = a.key(), b.key()
+        return self.inf_add_cache.get((ka, kb) if ka <= kb else (kb, ka),
+                                      lambda: self._mul(a, b))
 
     def _materialize(self, vec) -> Ideal:
         out = None
@@ -145,18 +168,11 @@ class JacobianCtx:
         return out if out is not None else ideal_one(self.field.infinite_order())
 
     def _profile(self, jq: Ideal):
-        if not self.caching:
+        def compute():
             return _inf_profile(self.field, ideal_inv(jq))
-        key = jq.key()
-        prof = self.ssrr_profiles.get(key)
-        if prof is None:
-            self.counters.ssrr_cache_misses += 1
-            prof = _inf_profile(self.field, ideal_inv(jq))
-            if self.cache_cap is None or len(self.ssrr_profiles) < self.cache_cap:
-                self.ssrr_profiles[key] = prof
-        else:
-            self.counters.ssrr_cache_hits += 1
-        return prof
+        if not self.caching:
+            return compute()
+        return self.ssrr_profiles.get(jq.key(), compute)
 
     # -- HR-Min search -----------------------------------------------------
 
@@ -169,7 +185,7 @@ class JacobianCtx:
             h += abs(v) * pl.degree()
         ctr = self.counters
         ctr.ssrr_calls += 1
-        ctr.record_height(h)
+        ctr.heights.append(h)
         return ssrr_reduce(self.field, iinv, self._profile(jq))
 
     def _hr_min_linear(self, iinv, jbase, vec_base, off, fin_h):
@@ -211,31 +227,31 @@ class JacobianCtx:
 
     def _reduce_raw(self, fin, fin_inv, jbase, vec_base, off, fin_h):
         """Reduce the class of (fin, vec_base + off*A); fin_inv inverts fin."""
+        self.counters.heights = []
         if self.strategy == "linear":
             r, a = self._hr_min_linear(fin_inv, jbase, vec_base, off, fin_h)
         else:
             r, a = self._hr_min_binary(fin_inv, jbase, vec_base, off, fin_h)
         o0 = self.field.finite_order()
         ia = principal_ideal(o0, o0.from_power(a.num), a.den)
-        fin3 = ideal_mul(fin, ia)
+        fin3 = self._mul(fin, ia)
         veca = infinite_valuations(self.field, a)
         vec3 = list(vec_base)
         vec3[self.a_index] += r + off
         vec3 = tuple(v + w for v, w in zip(vec3, veca))
         inf3 = self._materialize(vec3)
-        assert 0 <= r <= self.g
-        assert fin3.is_integral() and all(v >= 0 for v in vec3)
-        assert vec3[self.a_index] == 0
-        assert fin3.norm_degree() + sum(
-            v * pl.degree() for v, pl in zip(vec3, self.places)) == r
+        if not 0 <= r <= self.g:
+            raise ArithmeticError("reduction: r = %d outside 0..g" % r)
+        if not fin3.is_integral() or min(vec3) < 0:
+            raise ArithmeticError("reduction: divisor is not effective")
+        if vec3[self.a_index]:
+            raise ArithmeticError("reduction: A in the support")
+        if fin3.norm_degree() + sum(
+                v * pl.degree() for v, pl in zip(vec3, self.places)) != r:
+            raise ArithmeticError("reduction: degree differs from r")
         return JacElem(fin3, inf3, vec3, r)
 
     # -- public group operations -------------------------------------------
-
-    def _attach(self):
-        # several contexts may share one field; counters follow the caller
-        self.field.finite_order().counters = self.counters
-        self.field.infinite_order().counters = self.counters
 
     def zero(self) -> JacElem:
         return JacElem(ideal_one(self.field.finite_order()),
@@ -243,8 +259,7 @@ class JacobianCtx:
                        (0,) * self.t, 0)
 
     def add(self, x: JacElem, y: JacElem) -> JacElem:
-        self._attach()
-        fin = ideal_mul(x.fin, y.fin)
+        fin = self._mul(x.fin, y.fin)
         jbase = self._inf_mul(x.inf, y.inf)
         vec = tuple(a + b for a, b in zip(x.vec, y.vec))
         return self._reduce_raw(fin, ideal_inv(fin), jbase, vec,
@@ -253,7 +268,6 @@ class JacobianCtx:
     def neg(self, x: JacElem) -> JacElem:
         if x.r == 0:
             return x
-        self._attach()
         fin = ideal_inv(x.fin)
         vec = list(-v for v in x.vec)
         vec[self.a_index] += x.r
@@ -281,8 +295,7 @@ class JacobianCtx:
         """Reduced representative of the class of a degree-zero divisor."""
         if div.degree() != 0:
             raise ValueError("divisor must have degree zero")
-        self._attach()
-        fin_h = sum(abs(v) * pl.degree() for pl, v in div.finite_support())
+        fin_h = div.finite_height()
         return self._reduce_raw(div.fin, ideal_inv(div.fin),
                                 self._materialize(div.inf_vec),
                                 div.inf_vec, 0, fin_h)

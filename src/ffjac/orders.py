@@ -95,8 +95,8 @@ class Order:
     denominator: the i-th basis element is (1/den) * sum_j basis[i][j] t^j.
     """
 
-    __slots__ = ("field", "basis", "den", "one_coords", "counters", "_table",
-                 "_decomp", "_key", "_tri")
+    __slots__ = ("field", "basis", "den", "one_coords", "_table", "_decomp",
+                 "_key", "_tri")
 
     def __init__(self, field, rows, den: Poly):
         p = field.p
@@ -115,7 +115,6 @@ class Order:
         if one is None:
             raise ArithmeticError("lattice does not contain 1")
         self.one_coords = one
-        self.counters = None
         self._table = None
         self._decomp = {}
         self._key = None
@@ -289,7 +288,7 @@ def principal_ideal(order: Order, c, cden: Poly = None) -> Ideal:
     return Ideal(order, order.elem_mul_matrix(c), cden)
 
 
-def _ideal_mul_raw(a: Ideal, b: Ideal) -> Ideal:
+def ideal_mul(a: Ideal, b: Ideal) -> Ideal:
     order = a.order
     p = order.p
     rows = []
@@ -298,13 +297,6 @@ def _ideal_mul_raw(a: Ideal, b: Ideal) -> Ideal:
         for u in a.h:
             rows.append(_vm(u, m, p))
     return Ideal(order, rows, a.den * b.den)
-
-
-def ideal_mul(a: Ideal, b: Ideal) -> Ideal:
-    ctr = a.order.counters
-    if ctr is not None:
-        ctr.partial_additions += 1
-    return _ideal_mul_raw(a, b)
 
 
 def ideal_pow(a: Ideal, k: int) -> Ideal:
@@ -413,20 +405,20 @@ class PrimeIdeal(Ideal):
         return v - self.e * _q_multiplicity(ideal.den, self.q)
 
     def power(self, k: int) -> Ideal:
-        # memoized both ways; extension is setup work, kept out of counters
+        # memoized both ways
         if self._pows is None:
             self._pows = [ideal_one(self.order), Ideal(self.order, self.h)]
         if k >= 0:
             pows = self._pows
             while len(pows) <= k:
-                pows.append(_ideal_mul_raw(pows[-1], pows[1]))
+                pows.append(ideal_mul(pows[-1], pows[1]))
             return pows[k]
         if self._inv is None:
             self._inv = ideal_inv(self)
             self._inv_pows = [ideal_one(self.order), self._inv]
         pows = self._inv_pows
         while len(pows) <= -k:
-            pows.append(_ideal_mul_raw(pows[-1], pows[1]))
+            pows.append(ideal_mul(pows[-1], pows[1]))
         return pows[-k]
 
 

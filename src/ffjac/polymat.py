@@ -1,73 +1,20 @@
 """Matrices over K[x] (K = F_p): HNF, reduction, kernels, determinants.
 
-Module bases are stored as rows throughout: a lattice is the K[x]-row-span
-of its matrix. hnf computes H = U*M with U unimodular and H lower
-triangular, monic on the diagonal, and every entry below a diagonal (same
-column) of degree strictly less than that diagonal, which makes H a
-canonical representative of the row span. column_reduce is the classical
-column reduction (leading-column-coefficient matrix nonsingular); the row
-flavor used internally is the same algorithm transposed.
+Module bases are stored as rows throughout (lists of rows of Poly): a
+lattice is the K[x]-row-span of its matrix. _hnf_rows computes H = U*M
+with U unimodular and H lower echelon, monic pivots, and every entry
+below a pivot (same column) of degree strictly less than that pivot,
+which makes H a canonical representative of the row span; hnf_square and
+left_kernel are built on it. row_reduce makes the leading-row-coefficient
+matrix nonsingular (row reduction), which exposes the row degrees that
+the Riemann-Roch searches compare against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .polys import Poly, _inv_mod, _mk
-
-
-class PolyMatrix:
-    """Immutable matrix of Poly entries over one prime field."""
-
-    __slots__ = ("rows", "p", "m", "n")
-
-    def __init__(self, rows, p: int = None):
-        rows = [list(r) for r in rows]
-        if not rows or not rows[0]:
-            raise ValueError("empty matrix")
-        self.rows = rows
-        self.p = p if p is not None else rows[0][0].p
-        self.m = len(rows)
-        self.n = len(rows[0])
-
-    @staticmethod
-    def identity(n: int, p: int) -> "PolyMatrix":
-        one, zero = Poly.one(p), Poly.zero(p)
-        return PolyMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)], p
-        )
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(mat_mul(self.rows, other.rows, self.p), self.p)
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.rows[i][j] for i in range(self.m)] for j in range(self.n)], self.p
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and self.m == other.m
-            and self.n == other.n
-            and all(
-                self.rows[i][j] == other.rows[i][j]
-                for i in range(self.m)
-                for j in range(self.n)
-            )
-        )
-
-    def __repr__(self):
-        body = "; ".join(
-            ", ".join(str(e.coeffs) for e in row) for row in self.rows
-        )
-        return "PolyMatrix(%d x %d: %s)" % (self.m, self.n, body)
-
-    def key(self) -> bytes:
-        return mat_key(self.rows)
+from .polys import _CONV_LIMIT, Poly, _inv_mod, _mk
 
 
 def mat_key(rows) -> bytes:
@@ -98,17 +45,6 @@ def mat_mul(a, b, p: int):
                     acc[j] = acc[j] + e * brow[j]
         out.append(acc)
     return out
-
-
-def mat_scale_rows(rows, f: Poly):
-    return [[e * f for e in row] for row in rows]
-
-
-def _row_sub_scaled(row_a, row_b, q: Poly):
-    """row_a - q*row_b entrywise."""
-    for j in range(len(row_a)):
-        if not row_b[j].is_zero():
-            row_a[j] = row_a[j] - q * row_b[j]
 
 
 def _arr_trim(a: np.ndarray) -> np.ndarray:
@@ -143,7 +79,7 @@ def _hnf_rows(rows, p: int, transform: bool = False):
     in its column reduced mod the pivot.  Inner loops run on raw
     coefficient arrays; Poly wrappers are restored at the end.
     """
-    conv_ok = p < (1 << 21)
+    conv_ok = p < _CONV_LIMIT
 
     def mul_q(q, b):
         if conv_ok:
@@ -235,12 +171,6 @@ def _hnf_rows(rows, p: int, transform: bool = False):
     if u is not None:
         u_out = [[_mk(e, p) for e in row] for row in u]
     return h_out, u_out, pivots
-
-
-def hnf(mat: PolyMatrix, transform: bool = True):
-    """Canonical row HNF; returns (H, U) with H = U * mat, U unimodular."""
-    h, u, _ = _hnf_rows(mat.rows, mat.p, transform=transform)
-    return PolyMatrix(h, mat.p), (PolyMatrix(u, mat.p) if transform else None)
 
 
 def hnf_square(rows, p: int):
@@ -427,18 +357,6 @@ def row_reduce(rows, p: int, companion=None, threshold=None):
         degs[tgt] = nd
         if check(tgt):
             return work, degs, comp, tgt
-
-
-def column_reduce(mat: PolyMatrix):
-    """Column reduction of a nonsingular square matrix.
-
-    Returns (R, degs): R column-equivalent to mat, leading-column-coefficient
-    matrix nonsingular, degs[j] the column degree of column j. sum(degs)
-    equals deg det(mat).
-    """
-    t = mat.transpose()
-    work, degs, _, _ = row_reduce(t.rows, mat.p)
-    return PolyMatrix(work, mat.p).transpose(), degs
 
 
 def bareiss_det(rows, p: int) -> Poly:

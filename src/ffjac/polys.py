@@ -30,70 +30,6 @@ def _inv_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-class FieldElem:
-    """An element of F_p, p prime. Residues are canonical in [0, p)."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _check(self, other: "FieldElem") -> None:
-        if self.p != other.p:
-            raise ValueError("field mismatch: F_%d vs F_%d" % (self.p, other.p))
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.value * other.value, self.p)
-
-    def __neg__(self):
-        return FieldElem(-self.value, self.p)
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(_inv_mod(self.value, self.p), self.p)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElem)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return "FieldElem(%d, p=%d)" % (self.value, self.p)
-
-
-def fe_add(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a + b
-
-
-def fe_mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a * b
-
-
-def fe_inv(a: FieldElem) -> FieldElem:
-    return a.inverse()
-
-
 def _trim(c: np.ndarray) -> np.ndarray:
     n = len(c)
     while n > 0 and c[n - 1] == 0:
@@ -152,9 +88,6 @@ class Poly:
 
     def is_one(self) -> bool:
         return len(self.c) == 1 and self.c[0] == 1
-
-    def is_const(self) -> bool:
-        return len(self.c) <= 1
 
     @property
     def lc(self) -> int:
@@ -664,6 +597,3 @@ class RatFunc:
             return "RatFunc(%s)" % poly_str(self.num)
         return "RatFunc((%s)/(%s))" % (poly_str(self.num), poly_str(self.den))
 
-
-def rat_from_int(v: int, p: int) -> RatFunc:
-    return RatFunc(Poly.const(v, p), Poly.one(p), reduce=False)

@@ -59,31 +59,6 @@ def _inf_profile(field, jinv: Ideal):
     return vmat, tau_inf
 
 
-class SsrrCache:
-    """Memo of infinite-side profiles keyed by the inverse lattice."""
-
-    __slots__ = ("data", "hits", "misses")
-
-    def __init__(self):
-        self.data = {}
-        self.hits = 0
-        self.misses = 0
-
-    def profile(self, field, jinv: Ideal):
-        k = jinv.key()
-        prof = self.data.get(k)
-        if prof is None:
-            self.misses += 1
-            prof = _inf_profile(field, jinv)
-            self.data[k] = prof
-        else:
-            self.hits += 1
-        return prof
-
-    def __len__(self):
-        return len(self.data)
-
-
 def _lattice_data(field, iinv: Ideal, jinv: Ideal, profile=None):
     o = field.finite_order()
     p = field.p
@@ -119,11 +94,6 @@ def rr_dim(field, divisor: Divisor) -> int:
     return rr_basis(field, divisor)[0]
 
 
-def ssrr_profile(field, jinv: Ideal):
-    """Reusable infinite-side data for shortcut searches against jinv."""
-    return _inf_profile(field, jinv)
-
-
 def ssrr_reduce(field, iinv: Ideal, profile):
     """Shortcut search for one nonzero function of the lattice pair.
 
@@ -144,12 +114,6 @@ def ssrr_reduce(field, iinv: Ideal, profile):
                 num = [e.scale(sc) for e in num]
             break
     return FFElem(field, num, den_u)
-
-
-def ssrr(field, iinv: Ideal, jinv: Ideal, cache: SsrrCache = None):
-    profile = cache.profile(field, jinv) if cache is not None \
-        else _inf_profile(field, jinv)
-    return ssrr_reduce(field, iinv, profile)
 
 
 def compute_genus(field) -> int:

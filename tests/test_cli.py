@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffjac
+import ffjac.cli
 from ffjac.cli import main
 from ffjac.divisors import Divisor, finite_places_above
-from ffjac.fieldgen import read_field
+from ffjac.fieldgen import gen_structured, read_field
 from ffjac.jacobian import JacobianCtx
 from ffjac.polys import Poly
 
@@ -95,6 +101,58 @@ def test_selftest_quick_passes(capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 4
+
+
+def _run_optimized(code):
+    """Run code in a fresh interpreter under python -O."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ffjac.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_selftest_fails_under_optimize():
+    proc = _run_optimized(
+        "import sys\n"
+        "from ffjac.cli import main\n"
+        "from ffjac.jacobian import JacobianCtx\n"
+        "JacobianCtx.add = lambda self, x, y: self.zero()\n"
+        "sys.exit(main(['selftest', '--level', 'quick']))\n")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL group_axioms" in proc.stdout
+
+
+def test_reduction_checks_survive_optimize():
+    proc = _run_optimized(
+        "import ffjac.jacobian as jac\n"
+        "from ffjac import JacobianCtx, Poly, finite_places_above, make_field\n"
+        "F = make_field(5, 2, [Poly([0, -1, 0, -1], 5), Poly([], 5)])\n"
+        "ctx = JacobianCtx(F)\n"
+        "pl = finite_places_above(F, Poly([0, 1], 5))[0]\n"
+        "val = jac.infinite_valuations\n"
+        "jac.infinite_valuations = lambda f, a: [v + 1 for v in val(f, a)]\n"
+        "try:\n"
+        "    ctx.element_of_place(pl)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError', exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ArithmeticError")
+
+
+def test_bench_warm_up_keeps_power_memos_fixed(monkeypatch):
+    # every timed loop must find the A-power memos already extended
+    field = gen_structured(32771, 3, 6, seed="0:cf6:0")
+    pa = JacobianCtx(field).pa
+    seen = []
+    clock = ffjac.cli.time.process_time
+
+    def recording_clock():
+        seen.append(len(pa._pows))
+        return clock()
+
+    monkeypatch.setattr(ffjac.cli.time, "process_time", recording_clock)
+    ffjac.cli._bench_point(lambda i: field, 1, 2, "0|genus16")
+    assert len(seen) == 8
+    assert seen[0::2] == seen[1::2]
 
 
 def test_reduce_zero_divisor(tmp_path, capsys, monkeypatch):

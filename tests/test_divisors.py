@@ -112,6 +112,18 @@ def test_support_matches_valuations():
         assert inf_by_place.get(pl.key(), 0) == v
 
 
+def test_finite_height_matches_support():
+    rng = random.Random(10)
+    for field in small_fields():
+        for _ in range(4):
+            a = principal_divisor(field, random_elem(field, rng))
+            b = principal_divisor(field, random_elem(field, rng))
+            for div in (a, -a, a - b.scale(2), Divisor.zero(field)):
+                want = sum(abs(v) * pl.degree()
+                           for pl, v in div.finite_support())
+                assert div.finite_height() == want
+
+
 def test_finite_degree_one_place_search():
     for field in small_fields():
         pl = find_finite_degree_one_place(field)

@@ -7,9 +7,7 @@ from ffjac.extpoly import (
     fqp_add,
     fqp_deg,
     fqp_divmod,
-    fqp_eval,
     fqp_factor,
-    fqp_from_poly,
     fqp_gcd,
     fqp_is_irreducible,
     fqp_monic,
@@ -102,18 +100,6 @@ def test_fqp_factor_deterministic():
     while fqp_deg(f) < 4:
         f = rand_fqp(ctx, rng, 8)
     assert fqp_factor(ctx, f, seed=5) == fqp_factor(ctx, f, seed=5)
-
-
-def test_fqp_from_poly_and_eval():
-    ctx = make_field_ext(5, 2)
-    f = Poly([1, 2, 3], 5)
-    lifted = fqp_from_poly(ctx, f)
-    a = Poly([2, 3], 5)  # 2 + 3z
-    got = fqp_eval(ctx, lifted, a)
-    want = ctx.reduce(
-        Poly.const(1, 5) + Poly.const(2, 5) * a + Poly.const(3, 5) * (a * a)
-    )
-    assert got == want
 
 
 def test_fqp_gcd_common_factor():

@@ -8,11 +8,17 @@ from ffjac.field import make_field, FFElem
 from ffjac.polys import Poly, enumerate_monic_irreducibles
 from ffjac.divisors import (Divisor, infinite_places, finite_places_above,
                             principal_divisor)
+import ffjac.jacobian
 from ffjac.jacobian import JacobianCtx
 
 
 def elliptic5():
     return make_field(5, 2, [Poly([0, -1, 0, -1], 5), Poly([], 5)])
+
+
+def hyper7():
+    # y^2 = x^5 + 1, genus 2
+    return make_field(7, 2, [Poly([-1, 0, 0, 0, 0, -1], 7), Poly([], 7)])
 
 
 def genus4_field():
@@ -183,3 +189,55 @@ def test_scalar_multiplication_ladder():
         acc = ctx.add(acc, x)
         assert ctx.scalar_mul(k, x) == acc
     assert ctx.scalar_mul(-3, x) == ctx.neg(ctx.scalar_mul(3, x))
+
+
+def test_elements_of_different_fields_differ():
+    z5 = JacobianCtx(elliptic5()).zero()
+    z7 = JacobianCtx(hyper7()).zero()
+    # both are the unit ideal pair, so their canonical bytes agree
+    assert z5.key() == z7.key()
+    assert z5 != z7
+
+
+def test_full_memo_stops_inserting_and_stays_correct(monkeypatch):
+    monkeypatch.setattr(ffjac.jacobian, "MEMO_CAP", 2)
+    field = genus4_field()
+    capped = JacobianCtx(field)
+    plain = JacobianCtx(field, caching=False)
+    pool = place_pool(field)
+    rng = random.Random(5)
+    xs = [random_class(plain, pool, rng) for _ in range(4)]
+    capped.counters.reset()
+    for a, b in itertools.combinations(xs, 2):
+        assert capped.add(a, b) == plain.add(a, b)
+    assert len(capped.inf_add_cache) == 2
+    assert len(capped.ssrr_profiles) == 2
+    counts = capped.counters.as_dict()
+    assert counts["infinite_cache_misses"] > 2
+    assert counts["ssrr_cache_misses"] > 2
+
+
+def test_heights_hold_only_the_latest_reduction():
+    field = genus4_field()
+    ctx = JacobianCtx(field)
+    pool = place_pool(field)
+    rng = random.Random(42)
+    xs = [random_class(ctx, pool, rng) for _ in range(3)]
+    for x in xs:
+        ctx.add(x, x)
+        assert 1 <= len(ctx.counters.heights) <= ctx.g + 1
+    assert ctx.counters.ssrr_calls > len(ctx.counters.heights)
+
+
+def test_broken_reduction_raises_arithmetic_error(monkeypatch):
+    field = elliptic5()
+    ctx = JacobianCtx(field)
+    pl = finite_places_above(field, Poly([0, 1], 5))[0]
+    valuations = ffjac.jacobian.infinite_valuations
+
+    def shifted(fld, a):
+        return tuple(v + 1 for v in valuations(fld, a))
+
+    monkeypatch.setattr(ffjac.jacobian, "infinite_valuations", shifted)
+    with pytest.raises(ArithmeticError):
+        ctx.element_of_place(pl)

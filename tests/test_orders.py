@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from ffjac.divisors import Divisor, finite_places_above
 from ffjac.field import make_field
+from ffjac.jacobian import JacobianCtx
 from ffjac.orders import (
     Ideal,
     decompose_prime,
@@ -230,19 +232,18 @@ def test_infinite_model_orders():
     assert [(pr.e, pr.f) for pr in primes] == [(2, 1)]
 
 
-def test_counter_hook_counts_multiplications():
-    class Box:
-        partial_additions = 0
-
-    p = 5
+def test_divisor_arithmetic_leaves_context_counters():
+    # counters belong to a context and count only its own operations
     f = small_fields()[0]
-    o = maximal_order(f)
-    o.counters = Box()
-    pa = decompose_prime(o, x_poly(p))[0]
-    ideal_mul(pa, pa)
-    ideal_mul(pa, ideal_one(o))
-    assert o.counters.partial_additions == 2
-    o.counters = None
+    c1, c2 = JacobianCtx(f), JacobianCtx(f)
+    pl = finite_places_above(f, x_poly(f.p))[0]
+    x = c1.element_of_place(pl)
+    c2.add(x, x)
+    before = [c.counters.as_dict() for c in (c1, c2)]
+    assert before[1]["partial_additions"] > 0
+    d = Divisor.from_place(pl, 2) + Divisor.from_place(pl)
+    assert (d - Divisor.from_place(pl).scale(3)).degree() == 0
+    assert [c.counters.as_dict() for c in (c1, c2)] == before
 
 
 def test_inseparable_definition_rejected():

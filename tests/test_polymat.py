@@ -4,10 +4,8 @@ import pytest
 
 from ffjac.polys import Poly
 from ffjac.polymat import (
-    PolyMatrix,
+    _hnf_rows,
     bareiss_det,
-    column_reduce,
-    hnf,
     hnf_square,
     in_lattice,
     left_kernel,
@@ -28,12 +26,16 @@ def rand_poly(rng, p, dmax):
 
 
 def rand_matrix(rng, p, m, n, dmax=4):
-    return PolyMatrix([[rand_poly(rng, p, dmax) for _ in range(n)] for _ in range(m)], p)
+    return [[rand_poly(rng, p, dmax) for _ in range(n)] for _ in range(m)]
+
+
+def identity(n, p):
+    return [[Poly.one(p) if i == j else Poly.zero(p) for j in range(n)]
+            for i in range(n)]
 
 
 def rand_unimodular(rng, p, n, steps=12):
-    m = PolyMatrix.identity(n, p)
-    rows = [list(r) for r in m.rows]
+    rows = identity(n, p)
     for _ in range(steps):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
@@ -41,14 +43,14 @@ def rand_unimodular(rng, p, n, steps=12):
         q = rand_poly(rng, p, 2)
         for t in range(n):
             rows[i][t] = rows[i][t] + q * rows[j][t]
-    return PolyMatrix(rows, p)
+    return rows
 
 
 def is_lower_reduced(h):
-    n = h.n
+    n = len(h)
     for i in range(n):
         for j in range(n):
-            e = h.rows[i][j]
+            e = h[i][j]
             if j > i:
                 if not e.is_zero():
                     return False
@@ -56,16 +58,18 @@ def is_lower_reduced(h):
                 if e.is_zero() or e.lc != 1:
                     return False
             else:
-                if not e.is_zero() and e.deg >= h.rows[j][j].deg:
+                if not e.is_zero() and e.deg >= h[j][j].deg:
                     return False
     return True
 
 
 def test_hnf_identity_fixed():
-    m = PolyMatrix.identity(3, 7)
-    h, u = hnf(m)
+    m = identity(3, 7)
+    h, u, pivots = _hnf_rows(m, 7, transform=True)
     assert h == m
     assert u == m
+    assert pivots == [(0, 0), (1, 1), (2, 2)]
+    assert hnf_square(m, 7) == m
 
 
 def test_hnf_transform_and_canonical():
@@ -73,14 +77,15 @@ def test_hnf_transform_and_canonical():
     for _ in range(25):
         n = rng.randrange(2, 5)
         m = rand_matrix(rng, P, n, n)
-        if bareiss_det(m.rows, P).is_zero():
+        if bareiss_det(m, P).is_zero():
             continue
-        h, u = hnf(m)
+        h, u, _ = _hnf_rows(m, P, transform=True)
         assert is_lower_reduced(h)
-        assert PolyMatrix(mat_mul(u.rows, m.rows, P), P) == h
+        assert mat_mul(u, m, P) == h
         # U unimodular: det is a nonzero constant
-        du = bareiss_det(u.rows, P)
+        du = bareiss_det(u, P)
         assert du.deg == 0
+        assert hnf_square(m, P) == h
 
 
 def test_hnf_idempotent_and_span_invariant():
@@ -88,26 +93,27 @@ def test_hnf_idempotent_and_span_invariant():
     for _ in range(15):
         n = rng.randrange(2, 4)
         m = rand_matrix(rng, P, n, n)
-        if bareiss_det(m.rows, P).is_zero():
+        if bareiss_det(m, P).is_zero():
             continue
-        h, _ = hnf(m)
+        h = hnf_square(m, P)
         v = rand_unimodular(rng, P, n)
-        h2, _ = hnf(v * m)
-        assert h2 == h
-        h3, _ = hnf(h)
-        assert h3 == h
+        assert hnf_square(mat_mul(v, m, P), P) == h
+        assert hnf_square(h, P) == h
 
 
 def test_hnf_rectangular_stack():
     # row span of a stacked matrix: duplicated generators change nothing
     rng = random.Random(3)
     m = rand_matrix(rng, 101, 3, 3)
-    while bareiss_det(m.rows, 101).is_zero():
+    while bareiss_det(m, 101).is_zero():
         m = rand_matrix(rng, 101, 3, 3)
-    stacked = PolyMatrix(m.rows + m.rows + m.rows, 101)
-    h = hnf_square(stacked.rows, 101)
-    h1, _ = hnf(m)
-    assert PolyMatrix(h, 101) == h1
+    h = hnf_square(m + m + m, 101)
+    assert h == hnf_square(m, 101)
+    # the transform of the stack maps it onto zero rows above H
+    full, u, _ = _hnf_rows(m + m + m, 101, transform=True)
+    assert mat_mul(u, m + m + m, 101) == full
+    assert full[6:] == h
+    assert all(e.is_zero() for row in full[:6] for e in row)
 
 
 def test_hnf_square_rank_deficient_raises():
@@ -123,13 +129,13 @@ def test_det_vs_diagonal_product():
     for _ in range(20):
         n = rng.randrange(2, 5)
         m = rand_matrix(rng, P, n, n)
-        d = bareiss_det(m.rows, P)
+        d = bareiss_det(m, P)
         if d.is_zero():
             continue
-        h, _ = hnf(m)
+        h = hnf_square(m, P)
         prod = Poly.one(P)
         for i in range(n):
-            prod = prod * h.rows[i][i]
+            prod = prod * h[i][i]
         # h = u*m with u unimodular so det h = const * det m
         assert prod == d.monic()
 
@@ -159,10 +165,10 @@ def test_row_reduce_degrees_sum_to_det_degree():
     for _ in range(15):
         n = rng.randrange(2, 5)
         m = rand_matrix(rng, P, n, n)
-        d = bareiss_det(m.rows, P)
+        d = bareiss_det(m, P)
         if d.is_zero():
             continue
-        work, degs, _, hit = row_reduce(m.rows, P)
+        work, degs, _, hit = row_reduce(m, P)
         assert hit is None
         assert sum(degs) == d.deg
         # leading matrix nonsingular means no further drop possible
@@ -175,24 +181,21 @@ def test_row_reduce_preserves_row_span():
     rng = random.Random(29)
     p = 101
     m = rand_matrix(rng, p, 3, 3)
-    while bareiss_det(m.rows, p).is_zero():
+    while bareiss_det(m, p).is_zero():
         m = rand_matrix(rng, p, 3, 3)
-    work, _, _, _ = row_reduce(m.rows, p)
-    h1, _ = hnf(m)
-    h2, _ = hnf(PolyMatrix(work, p))
-    assert h1 == h2
+    work, _, _, _ = row_reduce(m, p)
+    assert hnf_square(m, p) == hnf_square(work, p)
 
 
 def test_row_reduce_companion_tracks_ops():
     rng = random.Random(31)
     p = 101
     m = rand_matrix(rng, p, 3, 3, dmax=5)
-    while bareiss_det(m.rows, p).is_zero():
+    while bareiss_det(m, p).is_zero():
         m = rand_matrix(rng, p, 3, 3, dmax=5)
-    ident = PolyMatrix.identity(3, p)
-    work, _, comp, _ = row_reduce(m.rows, p, companion=ident.rows)
+    work, _, comp, _ = row_reduce(m, p, companion=identity(3, p))
     # comp * m == work
-    assert PolyMatrix(mat_mul(comp, m.rows, p), p) == PolyMatrix(work, p)
+    assert mat_mul(comp, m, p) == work
 
 
 def test_row_reduce_threshold_short_circuit():
@@ -203,20 +206,6 @@ def test_row_reduce_threshold_short_circuit():
     work, degs, _, hit = row_reduce(rows, p, threshold=5)
     assert hit is not None
     assert degs[hit] <= 5
-
-
-def test_column_reduce_degree_identity():
-    rng = random.Random(37)
-    for _ in range(10):
-        n = rng.randrange(2, 5)
-        m = rand_matrix(rng, P, n, n)
-        d = bareiss_det(m.rows, P)
-        if d.is_zero():
-            continue
-        r, degs = column_reduce(m)
-        assert sum(degs) == d.deg
-        for j in range(n):
-            assert max(r.rows[i][j].deg for i in range(n)) == degs[j]
 
 
 def test_lower_tri_inverse():
@@ -246,15 +235,15 @@ def test_in_lattice():
     rng = random.Random(43)
     p = 101
     m = rand_matrix(rng, p, 3, 3)
-    while bareiss_det(m.rows, p).is_zero():
+    while bareiss_det(m, p).is_zero():
         m = rand_matrix(rng, p, 3, 3)
-    h, _ = hnf(m)
+    h = hnf_square(m, p)
     for _ in range(20):
         c = [rand_poly(rng, p, 3) for _ in range(3)]
-        v = mat_mul([c], h.rows, p)[0]
-        got = in_lattice(v, h.rows, p)
+        v = mat_mul([c], h, p)[0]
+        got = in_lattice(v, h, p)
         assert got is not None
-        assert mat_mul([got], h.rows, p)[0] == v
+        assert mat_mul([got], h, p)[0] == v
 
 
 def test_in_lattice_rejects_outsider():

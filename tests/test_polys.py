@@ -1,17 +1,13 @@
-"""Polynomial layer: field elements, ring ops, xgcd, factoring."""
+"""Polynomial layer: ring ops, xgcd, factoring."""
 
 import random
 
 import pytest
 
 from ffjac.polys import (
-    FieldElem,
     Poly,
     RatFunc,
     enumerate_monic_irreducibles,
-    fe_add,
-    fe_inv,
-    fe_mul,
     poly_factor,
     poly_gcd,
     poly_is_irreducible,
@@ -23,28 +19,6 @@ from ffjac.polys import (
 
 def rand_poly(rng, p, d):
     return Poly([rng.randrange(p) for _ in range(d + 1)], p)
-
-
-class TestFieldElem:
-    def test_ops(self):
-        a = FieldElem(5, 7)
-        b = FieldElem(4, 7)
-        assert fe_add(a, b) == FieldElem(2, 7)
-        assert fe_mul(a, b) == FieldElem(6, 7)
-        assert (a - b) == FieldElem(1, 7)
-
-    def test_every_inverse_mod_101(self):
-        for v in range(1, 101):
-            inv = fe_inv(FieldElem(v, 101))
-            assert (v * inv.value) % 101 == 1
-
-    def test_invert_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            fe_inv(FieldElem(0, 13))
-
-    def test_field_mismatch(self):
-        with pytest.raises(ValueError):
-            fe_add(FieldElem(1, 5), FieldElem(1, 7))
 
 
 class TestPolyBasics:
