@@ -312,16 +312,15 @@ def cmd_selftest(args, parser):
 
 def cmd_reduce(args, parser):
     field, _ = read_field(args.field)
-    if args.divisor == "-":
-        d = json.load(sys.stdin)
-    else:
-        with open(args.divisor) as fh:
-            d = json.load(fh)
-    div = Divisor.from_dict(field, d)
     ctx = JacobianCtx(field, strategy=args.strategy, caching=args.cache)
     try:
-        e = ctx.reduce_divisor(div)
-    except ValueError as exc:
+        if args.divisor == "-":
+            d = json.load(sys.stdin)
+        else:
+            with open(args.divisor) as fh:
+                d = json.load(fh)
+        e = ctx.reduce_divisor(Divisor.from_dict(field, d))
+    except (OSError, ValueError) as exc:
         print("ffjac reduce: %s" % exc, file=sys.stderr)
         return 1
     print(json.dumps({"r": e.r,

@@ -10,7 +10,6 @@ multiplication plus vector addition.
 from .orders import (
     Ideal,
     _q_multiplicity,
-    _vm,
     decompose_prime,
     ideal_inv,
     ideal_mul,
@@ -18,6 +17,7 @@ from .orders import (
     ideal_pow,
     principal_ideal,
 )
+from .polymat import _vm
 from .polys import Poly, poly_factor, poly_gcd
 
 
@@ -128,8 +128,12 @@ class Divisor:
     def __init__(self, field, fin: Ideal = None, inf_vec=None):
         if fin is None:
             fin = ideal_one(field.finite_order())
+        t = len(infinite_places(field))
         if inf_vec is None:
-            inf_vec = (0,) * len(infinite_places(field))
+            inf_vec = (0,) * t
+        elif len(inf_vec) != t:
+            raise ValueError("%d infinite valuations for %d infinite places"
+                             % (len(inf_vec), t))
         self.field = field
         self.fin = fin
         self.inf_vec = tuple(int(v) for v in inf_vec)
@@ -232,11 +236,38 @@ class Divisor:
 
     @staticmethod
     def from_dict(field, d: dict) -> "Divisor":
-        p = field.p
-        rows = [[Poly(c, p) for c in row] for row in d["finite"]["rows"]]
-        den = Poly(d["finite"]["den"], p)
-        fin = Ideal(field.finite_order(), rows, den)
-        return Divisor(field, fin, d["infinite"])
+        """Inverse of to_dict; raises ValueError on malformed input."""
+        p, n = field.p, field.n
+        try:
+            rows, den = d["finite"]["rows"], d["finite"]["den"]
+            vec = d["infinite"]
+        except (KeyError, TypeError):
+            raise ValueError("divisor needs finite.rows, finite.den and "
+                             "infinite") from None
+        if not (isinstance(rows, list) and len(rows) == n
+                and all(isinstance(r, list) and len(r) == n for r in rows)):
+            raise ValueError("finite.rows must be a %d x %d matrix" % (n, n))
+        if not (_int_list(den) and _int_list(vec)
+                and all(_int_list(c) for row in rows for c in row)):
+            raise ValueError("coefficients and infinite valuations must be "
+                             "lists of integers")
+        den = Poly(den, p)
+        if den.is_zero() or den.lc != 1:
+            raise ValueError("finite.den must be a nonzero monic polynomial")
+        o = field.finite_order()
+        try:
+            fin = Ideal(o, [[Poly(c, p) for c in row] for row in rows], den)
+        except ArithmeticError as exc:
+            raise ValueError("finite part is not a fractional ideal: %s"
+                             % exc) from None
+        if ideal_mul(fin, ideal_one(o)) != fin:
+            raise ValueError("finite part is not closed under the order")
+        return Divisor(field, fin, vec)
+
+
+def _int_list(c) -> bool:
+    return isinstance(c, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in c)
 
 
 def principal_divisor(field, elem) -> Divisor:

@@ -16,6 +16,7 @@ from .extpoly import (Fq, fqp_deg, fqp_divmod, fqp_factor, fqp_gcd,
                       fqp_is_zero, fqp_mul, fqp_trim)
 from .field import _bt_mul, _bt_sub
 from .polymat import (
+    _vm,
     bareiss_det,
     fp_kernel,
     fp_solve,
@@ -45,20 +46,6 @@ def _content(rows, p: int) -> Poly:
                 if g.is_one():
                     return g
     return g
-
-
-def _vm(v, rows, p: int):
-    """Vector times matrix over K[x]."""
-    width = len(rows[0])
-    out = [Poly.zero(p)] * width
-    for i, c in enumerate(v):
-        if c.is_zero():
-            continue
-        row = rows[i]
-        for j in range(width):
-            if not row[j].is_zero():
-                out[j] = out[j] + c * row[j]
-    return out
 
 
 def _vec_mod(v, q: Poly):
@@ -179,20 +166,7 @@ class Order:
     def elem_mul_matrix(self, v):
         """Rows: coordinates of (basis element a) * (element with coords v)."""
         T = self.table()
-        p, n = self.p, self.n
-        out = []
-        for a in range(n):
-            row = [Poly.zero(p)] * n
-            for k in range(n):
-                c = v[k]
-                if c.is_zero():
-                    continue
-                tk = T[a][k]
-                for j in range(n):
-                    if not tk[j].is_zero():
-                        row[j] = row[j] + c * tk[j]
-            out.append(row)
-        return out
+        return [_vm(v, T[a], self.p) for a in range(self.n)]
 
     def mul_coords(self, u, v):
         return _vm(u, self.elem_mul_matrix(v), self.p)
@@ -379,22 +353,29 @@ class PrimeIdeal(Ideal):
     def val_coords(self, c) -> int:
         """Valuation of the integral element with order coordinates c.
 
-        Gallops on membership in memoized powers of the prime, so the
-        cost is logarithmic in the valuation instead of linear.
+        Gallops and bisects on membership in the powers of the prime that
+        are already memoized, so the cost is logarithmic in the valuation,
+        and steps one power at a time beyond them, so the memo grows to at
+        most one power past the valuation.
         """
         if all(e.is_zero() for e in c):
             raise ZeroDivisionError("valuation of zero")
         if not self._in_power(c, 1):
             return 0
+        top = len(self._pows) - 1
         lo, hi = 1, 2
-        while self._in_power(c, hi):
+        while hi <= top and self._in_power(c, hi):
             lo, hi = hi, hi * 2
+        hi = min(hi, top + 1)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if self._in_power(c, mid):
                 lo = mid
             else:
                 hi = mid
+        if lo == top:
+            while self._in_power(c, lo + 1):
+                lo += 1
         return lo
 
     def val_fraction(self, c, cden: Poly) -> int:

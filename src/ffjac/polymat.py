@@ -1,20 +1,25 @@
-"""Matrices over K[x] (K = F_p): HNF, reduction, kernels, determinants.
+"""Matrices over K[x] (K = F_p): HNF, row reduction, kernels, determinants.
 
 Module bases are stored as rows throughout (lists of rows of Poly): a
-lattice is the K[x]-row-span of its matrix. _hnf_rows computes H = U*M
-with U unimodular and H lower echelon, monic pivots, and every entry
-below a pivot (same column) of degree strictly less than that pivot,
-which makes H a canonical representative of the row span; hnf_square and
-left_kernel are built on it. row_reduce makes the leading-row-coefficient
-matrix nonsingular (row reduction), which exposes the row degrees that
-the Riemann-Roch searches compare against.
+lattice is the K[x]-row-span of its matrix, and _vm is the one
+vector-times-matrix product. The row-operation loops (_hnf_rows,
+row_reduce, in_lattice) take and return Poly rows but work in between on
+raw coefficient rows (lists of int64 arrays, see polys), and every row
+operation they make is the one update _sub_scaled, ra -= x^s * q * rb.
+
+_hnf_rows computes H = U*M with U unimodular and H lower echelon, monic
+pivots, and every entry below a pivot (same column) of degree strictly
+less than that pivot, which makes H a canonical representative of the row
+span; hnf_square and left_kernel are built on it. row_reduce makes the
+leading-row-coefficient matrix nonsingular (row reduction), which exposes
+the row degrees that the Riemann-Roch searches compare against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .polys import _CONV_LIMIT, Poly, _inv_mod, _mk
+from .polys import Poly, _divmod_arr, _inv_mod, _mk, _mul_arr, _trim
 
 
 def mat_key(rows) -> bytes:
@@ -27,48 +32,49 @@ def mat_key(rows) -> bytes:
     return b"".join(parts)
 
 
-def mat_mul(a, b, p: int):
-    """Raw row-list product."""
-    n_mid = len(b)
-    n_out = len(b[0])
-    zero = Poly.zero(p)
-    out = []
-    for row in a:
-        acc = [zero] * n_out
-        for k in range(n_mid):
-            e = row[k]
-            if e.is_zero():
-                continue
-            brow = b[k]
-            for j in range(n_out):
-                if not brow[j].is_zero():
-                    acc[j] = acc[j] + e * brow[j]
-        out.append(acc)
+def _vm(v, rows, p: int):
+    """Vector times matrix over K[x]."""
+    width = len(rows[0])
+    out = [Poly.zero(p)] * width
+    for i, c in enumerate(v):
+        if c.is_zero():
+            continue
+        row = rows[i]
+        for j in range(width):
+            if not row[j].is_zero():
+                out[j] = out[j] + c * row[j]
     return out
 
 
-def _arr_trim(a: np.ndarray) -> np.ndarray:
-    n = a.size
-    while n and a[n - 1] == 0:
-        n -= 1
-    return a[:n] if n != a.size else a
+def mat_mul(a, b, p: int):
+    """Raw row-list product."""
+    return [_vm(row, b, p) for row in a]
 
 
-def _arr_quo(a: np.ndarray, b: np.ndarray, inv_lc: int, p: int):
-    """Quotient a // b for raw coefficient arrays, deg a >= deg b >= 0."""
-    db = b.size - 1
-    steps = a.size - b.size
-    q = np.zeros(steps + 1, dtype=np.int64)
-    rem = a.copy()
-    bl = b[:db]
-    for k in range(steps, -1, -1):
-        c = rem[k + db] % p
-        if c:
-            c = (c * inv_lc) % p
-            q[k] = c
-            if db:
-                rem[k:k + db] = (rem[k:k + db] - c * bl) % p
-    return _arr_trim(q)
+def _arrays(rows):
+    return [[e.c for e in row] for row in rows]
+
+
+def _polys(rows, p: int):
+    return [[_mk(e, p) for e in row] for row in rows]
+
+
+def _sub_scaled(ra, rb, q, p: int, shift: int = 0):
+    """Row update ra -= x^shift * q * rb on raw coefficient rows, in place
+    on the list ra (its arrays are replaced, never written)."""
+    for j, b in enumerate(rb):
+        if not b.size:
+            continue
+        prod = _mul_arr(q, b, p)
+        a = ra[j]
+        end = prod.size + shift
+        if a.size >= end:
+            out = a.copy()
+        else:
+            out = np.zeros(end, dtype=np.int64)
+            out[:a.size] = a
+        out[shift:end] = (out[shift:end] - prod) % p
+        ra[j] = _trim(out)
 
 
 def _hnf_rows(rows, p: int, transform: bool = False):
@@ -79,30 +85,7 @@ def _hnf_rows(rows, p: int, transform: bool = False):
     in its column reduced mod the pivot.  Inner loops run on raw
     coefficient arrays; Poly wrappers are restored at the end.
     """
-    conv_ok = p < _CONV_LIMIT
-
-    def mul_q(q, b):
-        if conv_ok:
-            return np.convolve(q, b) % p
-        return (_mk(q, p) * _mk(b, p)).c
-
-    def sub_scaled(ra, rb, q):
-        # ra -= q * rb entrywise
-        for j in range(len(ra)):
-            b = rb[j]
-            if not b.size:
-                continue
-            prod = mul_q(q, b)
-            a = ra[j]
-            if a.size >= prod.size:
-                out = a.copy()
-                out[:prod.size] = (out[:prod.size] - prod) % p
-            else:
-                out = (-prod) % p
-                out[:a.size] = (out[:a.size] + a) % p
-            ra[j] = _arr_trim(out)
-
-    work = [[e.c for e in r] for r in rows]
+    work = _arrays(rows)
     m = len(work)
     n = len(work[0])
     u = None
@@ -125,14 +108,13 @@ def _hnf_rows(rows, p: int, transform: bool = False):
                 break
             best = min(cand, key=lambda i: (work[i][j].size, i))
             piv = work[best][j]
-            inv_lc = _inv_mod(int(piv[-1]), p)
             for i in cand:
                 if i == best:
                     continue
-                q = _arr_quo(work[i][j], piv, inv_lc, p)
-                sub_scaled(work[i], work[best], q)
+                q = _divmod_arr(work[i][j], piv, p)[0]
+                _sub_scaled(work[i], work[best], q, p)
                 if u is not None:
-                    sub_scaled(u[i], u[best], q)
+                    _sub_scaled(u[i], u[best], q, p)
         if not cand:
             continue
         i = cand[0]
@@ -161,16 +143,12 @@ def _hnf_rows(rows, p: int, transform: bool = False):
             e = work[r][js]
             if not e.size or e.size < piv.size:
                 continue
-            q = _arr_quo(e, piv, _inv_mod(int(piv[-1]), p), p)
-            sub_scaled(work[r], work[rs], q)
+            q = _divmod_arr(e, piv, p)[0]
+            _sub_scaled(work[r], work[rs], q, p)
             if u is not None:
-                sub_scaled(u[r], u[rs], q)
+                _sub_scaled(u[r], u[rs], q, p)
 
-    h_out = [[_mk(e, p) for e in row] for row in work]
-    u_out = None
-    if u is not None:
-        u_out = [[_mk(e, p) for e in row] for row in u]
-    return h_out, u_out, pivots
+    return _polys(work, p), None if u is None else _polys(u, p), pivots
 
 
 def hnf_square(rows, p: int):
@@ -193,58 +171,15 @@ def left_kernel(rows, p: int):
     return out
 
 
-def _leading_matrix(work, degs, p: int):
-    m = len(work)
-    n = len(work[0])
-    lead = np.zeros((m, n), dtype=np.int64)
-    for i in range(m):
+def _leading_matrix(work, degs):
+    """F_p matrix of the coefficients of x^degs[i] in the raw rows work."""
+    lead = np.zeros((len(work), len(work[0])), dtype=np.int64)
+    for i, row in enumerate(work):
         d = degs[i]
-        for j in range(n):
-            e = work[i][j]
-            if e.deg == d:
-                lead[i, j] = e.lc
+        for j, e in enumerate(row):
+            if e.size - 1 == d:
+                lead[i, j] = e[d]
     return lead
-
-
-def _nullvector_mod(mat: np.ndarray, p: int):
-    """A nonzero left-nullspace vector of mat over F_p, or None."""
-    m, n = mat.shape
-    a = mat.T % p  # column space of a = row space of mat; find right null of a
-    a = a.copy()
-    # Gaussian elimination on a (n x m), unknowns = m row-coefficients
-    piv_col_of_row = [-1] * n
-    used = np.zeros(m, dtype=bool)
-    r = 0
-    for c in range(m):
-        sel = -1
-        for i in range(r, n):
-            if a[i, c] % p:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        a[[r, sel]] = a[[sel, r]]
-        inv = _inv_mod(int(a[r, c]), p)
-        a[r] = (a[r] * inv) % p
-        for i in range(n):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        piv_col_of_row[r] = c
-        used[c] = True
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(m) if not used[c]]
-    if not free:
-        return None
-    c0 = free[0]
-    v = np.zeros(m, dtype=np.int64)
-    v[c0] = 1
-    for i in range(r):
-        c = piv_col_of_row[i]
-        if c >= 0:
-            v[c] = (-a[i, c0]) % p
-    return v
 
 
 def fp_rref(mat: np.ndarray, p: int):
@@ -307,10 +242,14 @@ def row_reduce(rows, p: int, companion=None, threshold=None):
     reduction left unfinished), or None. Row degree is the max entry degree.
     Requires a nonsingular square input; a vanishing row raises.
     """
-    work = [list(r) for r in rows]
-    comp = [list(r) for r in companion] if companion is not None else None
+    work = _arrays(rows)
+    comp = None if companion is None else _arrays(companion)
     m = len(work)
-    degs = [max(e.deg for e in row) for row in work]
+    degs = [max(e.size for e in row) - 1 for row in work]
+
+    def done(hit):
+        return (_polys(work, p), degs,
+                None if comp is None else _polys(comp, p), hit)
 
     def check(i):
         return threshold is not None and degs[i] <= threshold
@@ -319,44 +258,39 @@ def row_reduce(rows, p: int, companion=None, threshold=None):
         if degs[i] < 0:
             raise ArithmeticError("zero row in row_reduce input")
         if check(i):
-            return work, degs, comp, i
+            return done(i)
 
     while True:
-        lead = _leading_matrix(work, degs, p)
-        v = _nullvector_mod(lead, p)
-        if v is None:
-            return work, degs, comp, None
+        ker = fp_kernel(_leading_matrix(work, degs), p)
+        if not len(ker):
+            return done(None)
+        v = ker[0]
         cand = [i for i in range(m) if v[i]]
         tgt = max(cand, key=lambda i: (degs[i], i))
         d_t = degs[tgt]
         inv = _inv_mod(int(v[tgt]), p)
+        # row tgt += sum over i of (v[i] / v[tgt]) x^(d_t - d_i) row i
         new_row = list(work[tgt])
         new_comp = list(comp[tgt]) if comp is not None else None
         for i in cand:
             if i == tgt:
                 continue
-            coef = (int(v[i]) * inv) % p
+            q = np.array([(-int(v[i]) * inv) % p], dtype=np.int64)
             shift = d_t - degs[i]
-            for j in range(len(new_row)):
-                e = work[i][j]
-                if not e.is_zero():
-                    new_row[j] = new_row[j] + e.scale(coef).shift(shift)
+            _sub_scaled(new_row, work[i], q, p, shift)
             if comp is not None:
-                for j in range(len(new_comp)):
-                    e = comp[i][j]
-                    if not e.is_zero():
-                        new_comp[j] = new_comp[j] + e.scale(coef).shift(shift)
+                _sub_scaled(new_comp, comp[i], q, p, shift)
         work[tgt] = new_row
         if comp is not None:
             comp[tgt] = new_comp
-        nd = max(e.deg for e in new_row)
+        nd = max(e.size for e in new_row) - 1
         if nd >= d_t:
             raise ArithmeticError("row degree did not drop; input singular?")
         if nd < 0:
             raise ArithmeticError("row vanished in row_reduce; input singular")
         degs[tgt] = nd
         if check(tgt):
-            return work, degs, comp, tgt
+            return done(tgt)
 
 
 def bareiss_det(rows, p: int) -> Poly:
@@ -394,17 +328,8 @@ def lower_tri_inverse(rows, p: int):
     for i in range(n):
         d = d * rows[i][i]
     zero = Poly.zero(p)
-    g = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = d.exact_div(rows[i][i])
-        for j in range(i - 1, -1, -1):
-            acc = zero
-            for k in range(j + 1, i + 1):
-                if not g[i][k].is_zero() and not rows[k][j].is_zero():
-                    acc = acc + g[i][k] * rows[k][j]
-            if acc.is_zero():
-                continue
-            g[i][j] = (-acc).exact_div(rows[j][j])
+    g = [in_lattice([d if j == i else zero for j in range(n)], rows, p)
+         for i in range(n)]
     return g, d
 
 
@@ -413,21 +338,15 @@ def in_lattice(v, h_rows, p: int):
 
     Returns the coefficient row c with c * H = v, or None.
     """
-    n = len(v)
-    rem = list(v)
-    coeffs = [Poly.zero(p)] * n
-    for j in range(n - 1, -1, -1):
-        e = rem[j]
-        if e.is_zero():
+    rem = [e.c for e in v]
+    coeffs = [Poly.zero(p)] * len(v)
+    for j in range(len(v) - 1, -1, -1):
+        if not rem[j].size:
             continue
-        piv = h_rows[j][j]
-        q, r = e.divmod(piv)
-        if not r.is_zero():
+        q, r = _divmod_arr(rem[j], h_rows[j][j].c, p)
+        if r.size:
             return None
-        coeffs[j] = q
-        for t in range(j + 1):
-            if not h_rows[j][t].is_zero():
-                rem[t] = rem[t] - q * h_rows[j][t]
-    if any(not e.is_zero() for e in rem):
-        return None
+        coeffs[j] = _mk(q, p)
+        # rem[j] is now r = 0 and is not read again
+        _sub_scaled(rem, [e.c for e in h_rows[j][:j]], q, p)
     return coeffs

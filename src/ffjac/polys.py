@@ -7,6 +7,11 @@ numpy convolution when p is small enough that convolution sums cannot
 overflow int64, and through Kronecker substitution on Python big ints
 otherwise, so every prime p < 2^31 is exact.
 
+The arithmetic itself lives in three primitives on raw coefficient
+arrays, which the matrix kernels of polymat call directly: _trim (drop
+leading zeros), _mul_arr (the product) and _divmod_arr (quotient and
+remainder). Poly wraps an array and delegates to them.
+
 All values are immutable; every operation returns fresh objects, so objects
 can be shared freely across threads.
 """
@@ -35,6 +40,51 @@ def _trim(c: np.ndarray) -> np.ndarray:
     while n > 0 and c[n - 1] == 0:
         n -= 1
     return c[:n] if n < len(c) else c
+
+
+def _mul_arr(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Product of two trimmed coefficient arrays."""
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return _ZERO
+    if la == 1:
+        return (b * int(a[0])) % p
+    if lb == 1:
+        return (a * int(b[0])) % p
+    if p < _CONV_LIMIT:
+        return np.convolve(a, b) % p
+    # Kronecker substitution: pack into one big integer, exact for p < 2^31
+    bits = 2 * (p - 1).bit_length() + min(la, lb).bit_length() + 1
+    pa = sum(int(v) << (bits * i) for i, v in enumerate(a))
+    pb = sum(int(v) << (bits * i) for i, v in enumerate(b))
+    prod = pa * pb
+    mask = (1 << bits) - 1
+    out = np.zeros(la + lb - 1, dtype=np.int64)
+    for i in range(la + lb - 1):
+        out[i] = (prod & mask) % p
+        prod >>= bits
+    return out
+
+
+def _divmod_arr(a: np.ndarray, b: np.ndarray, p: int):
+    """Trimmed quotient and remainder of coefficient arrays, b nonzero."""
+    db, da = len(b) - 1, len(a) - 1
+    if db < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    if da < db:
+        return _ZERO, a
+    inv_lc = _inv_mod(int(b[-1]), p)
+    if db == 0:
+        return (a * inv_lc) % p, _ZERO
+    rem = a.copy()
+    q = np.zeros(da - db + 1, dtype=np.int64)
+    for k in range(da - db, -1, -1):
+        coef = int(rem[k + db])
+        if coef:
+            coef = coef * inv_lc % p
+            q[k] = coef
+            rem[k : k + db + 1] = (rem[k : k + db + 1] - coef * b) % p
+    return _trim(q), _trim(rem[:db])
 
 
 class Poly:
@@ -129,31 +179,7 @@ class Poly:
         return _mk((-self.c) % self.p, self.p)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b, p = self.c, other.c, self.p
-        if len(a) == 0 or len(b) == 0:
-            return _mk(_ZERO, p)
-        if len(a) == 1:
-            return _mk((b * int(a[0])) % p, p)
-        if len(b) == 1:
-            return _mk((a * int(b[0])) % p, p)
-        if p < _CONV_LIMIT:
-            return _mk(np.convolve(a, b) % p, p)
-        return self._mul_kronecker(other)
-
-    def _mul_kronecker(self, other: "Poly") -> "Poly":
-        """Exact product via packing into one big integer; any p < 2^31."""
-        p = self.p
-        la, lb = len(self.c), len(other.c)
-        bits = 2 * (p - 1).bit_length() + (min(la, lb)).bit_length() + 1
-        pa = sum(int(v) << (bits * i) for i, v in enumerate(self.c))
-        pb = sum(int(v) << (bits * i) for i, v in enumerate(other.c))
-        prod = pa * pb
-        mask = (1 << bits) - 1
-        out = np.zeros(la + lb - 1, dtype=np.int64)
-        for i in range(la + lb - 1):
-            out[i] = (prod & mask) % p
-            prod >>= bits
-        return _mk(out, p)
+        return _mk(_mul_arr(self.c, other.c, self.p), self.p)
 
     def scale(self, v: int) -> "Poly":
         v %= self.p
@@ -192,25 +218,8 @@ class Poly:
 
     def divmod(self, other: "Poly"):
         """Quotient and remainder; other must be nonzero."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        db, da = other.deg, self.deg
-        if da < db:
-            return _mk(_ZERO, p), self
-        if db == 0:
-            return self.scale(_inv_mod(other.lc, p)), _mk(_ZERO, p)
-        inv_lc = _inv_mod(other.lc, p)
-        rem = self.c.copy()
-        q = np.zeros(da - db + 1, dtype=np.int64)
-        b = other.c
-        for k in range(da - db, -1, -1):
-            coef = rem[k + db] % p
-            if coef:
-                coef = (coef * inv_lc) % p
-                q[k] = coef
-                rem[k : k + db + 1] = (rem[k : k + db + 1] - coef * b) % p
-        return _mk(_trim(q), p), _mk(_trim(rem[:db]), p)
+        q, r = _divmod_arr(self.c, other.c, self.p)
+        return _mk(q, self.p), _mk(r, self.p)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]

@@ -183,3 +183,42 @@ def test_reduce_matches_library(tmp_path, capsys):
     assert rep["r"] == want.r
     assert Divisor.from_dict(F, rep["reduced_divisor"]) == \
         want.reduced_divisor()
+
+
+def test_reduce_rejects_malformed_divisors(tmp_path, capsys, monkeypatch):
+    import io
+    field_path = gen_one(tmp_path)
+    capsys.readouterr()
+    F, _ = read_field(field_path)
+    good = Divisor.zero(F).to_dict()
+    assert len(good["infinite"]) == 2
+    fin = good["finite"]
+    rows = fin["rows"]
+    cases = [
+        (dict(good, infinite=[0]), "1 infinite valuations"),
+        (dict(good, infinite=[0, 0, 0]), "3 infinite valuations"),
+        ({"infinite": [0, 0]}, "needs finite.rows"),
+        (dict(good, finite=dict(fin, rows=[rows[0][:2]] + rows[1:])),
+         "3 x 3 matrix"),
+        (dict(good, finite=dict(fin, den=[])), "nonzero monic"),
+        (dict(good, finite=dict(fin, rows=[[[]] * 3] * 3)),
+         "not a fractional ideal"),
+        # degree zero, but a lattice that the order does not map into itself
+        ({"finite": dict(fin, rows=rows[:2] + [[[], [], [0, 1]]]),
+          "infinite": [-1, 0]}, "not closed under the order"),
+    ]
+    texts = [(json.dumps(d), why) for d, why in cases]
+    texts.append(('{"finite": ', "Expecting value"))
+    texts.append((None, "No such file"))
+    missing = str(tmp_path / "missing.json")
+    for text, why in texts:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text or ""))
+        rc = main(["reduce", "--field", str(field_path),
+                   "--divisor", missing if text is None else "-"])
+        out = capsys.readouterr()
+        assert rc == 1, text
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ffjac reduce: "), \
+            (text, out.err)
+        assert why in lines[0], (text, lines[0])

@@ -250,3 +250,17 @@ def test_inseparable_definition_rejected():
     f = make_field(2, 2, [Poly([0, 1], 2), Poly([], 2)])  # t^2 - x
     with pytest.raises(ArithmeticError):
         maximal_order(f)
+
+
+def test_valuation_memo_ends_one_past_the_valuation():
+    v = 5
+    for f in small_fields():
+        o = maximal_order(f)
+        q = x_poly(f.p)
+        qv = q ** v
+        for pr in decompose_prime(o, q):
+            # decomposition values q itself: the memo holds P^0 .. P^(e+1)
+            assert len(pr._pows) <= pr.e + 2
+            got = pr.val_coords([e * qv for e in o.one_coords])
+            assert got == v * pr.e
+            assert len(pr._pows) <= got + 2

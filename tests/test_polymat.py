@@ -5,7 +5,9 @@ import pytest
 from ffjac.polys import Poly
 from ffjac.polymat import (
     _hnf_rows,
+    _leading_matrix,
     bareiss_det,
+    fp_kernel,
     hnf_square,
     in_lattice,
     left_kernel,
@@ -15,6 +17,8 @@ from ffjac.polymat import (
 )
 
 P = 32771
+# above polys._CONV_LIMIT: every product takes the Kronecker path
+BIG = 2**31 - 1
 
 
 def rand_poly(rng, p, dmax):
@@ -73,32 +77,34 @@ def test_hnf_identity_fixed():
 
 
 def test_hnf_transform_and_canonical():
-    rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randrange(2, 5)
-        m = rand_matrix(rng, P, n, n)
-        if bareiss_det(m, P).is_zero():
-            continue
-        h, u, _ = _hnf_rows(m, P, transform=True)
-        assert is_lower_reduced(h)
-        assert mat_mul(u, m, P) == h
-        # U unimodular: det is a nonzero constant
-        du = bareiss_det(u, P)
-        assert du.deg == 0
-        assert hnf_square(m, P) == h
+    for p in (P, BIG):
+        rng = random.Random(7)
+        for _ in range(25):
+            n = rng.randrange(2, 5)
+            m = rand_matrix(rng, p, n, n)
+            if bareiss_det(m, p).is_zero():
+                continue
+            h, u, _ = _hnf_rows(m, p, transform=True)
+            assert is_lower_reduced(h)
+            assert mat_mul(u, m, p) == h
+            # U unimodular: det is a nonzero constant
+            du = bareiss_det(u, p)
+            assert du.deg == 0
+            assert hnf_square(m, p) == h
 
 
 def test_hnf_idempotent_and_span_invariant():
-    rng = random.Random(11)
-    for _ in range(15):
-        n = rng.randrange(2, 4)
-        m = rand_matrix(rng, P, n, n)
-        if bareiss_det(m, P).is_zero():
-            continue
-        h = hnf_square(m, P)
-        v = rand_unimodular(rng, P, n)
-        assert hnf_square(mat_mul(v, m, P), P) == h
-        assert hnf_square(h, P) == h
+    for p in (P, BIG):
+        rng = random.Random(11)
+        for _ in range(15):
+            n = rng.randrange(2, 4)
+            m = rand_matrix(rng, p, n, n)
+            if bareiss_det(m, p).is_zero():
+                continue
+            h = hnf_square(m, p)
+            v = rand_unimodular(rng, p, n)
+            assert hnf_square(mat_mul(v, m, p), p) == h
+            assert hnf_square(h, p) == h
 
 
 def test_hnf_rectangular_stack():
@@ -161,20 +167,20 @@ def test_left_kernel():
 
 
 def test_row_reduce_degrees_sum_to_det_degree():
-    rng = random.Random(23)
-    for _ in range(15):
-        n = rng.randrange(2, 5)
-        m = rand_matrix(rng, P, n, n)
-        d = bareiss_det(m, P)
-        if d.is_zero():
-            continue
-        work, degs, _, hit = row_reduce(m, P)
-        assert hit is None
-        assert sum(degs) == d.deg
-        # leading matrix nonsingular means no further drop possible
-        from ffjac.polymat import _leading_matrix, _nullvector_mod
-
-        assert _nullvector_mod(_leading_matrix(work, degs, P), P) is None
+    for p in (P, BIG):
+        rng = random.Random(23)
+        for _ in range(15):
+            n = rng.randrange(2, 5)
+            m = rand_matrix(rng, p, n, n)
+            d = bareiss_det(m, p)
+            if d.is_zero():
+                continue
+            work, degs, _, hit = row_reduce(m, p)
+            assert hit is None
+            assert sum(degs) == d.deg
+            # leading matrix nonsingular means no further drop possible
+            lead = _leading_matrix([[e.c for e in row] for row in work], degs)
+            assert len(fp_kernel(lead, p)) == 0
 
 
 def test_row_reduce_preserves_row_span():
@@ -188,14 +194,14 @@ def test_row_reduce_preserves_row_span():
 
 
 def test_row_reduce_companion_tracks_ops():
-    rng = random.Random(31)
-    p = 101
-    m = rand_matrix(rng, p, 3, 3, dmax=5)
-    while bareiss_det(m, p).is_zero():
+    for p in (101, BIG):
+        rng = random.Random(31)
         m = rand_matrix(rng, p, 3, 3, dmax=5)
-    work, _, comp, _ = row_reduce(m, p, companion=identity(3, p))
-    # comp * m == work
-    assert mat_mul(comp, m, p) == work
+        while bareiss_det(m, p).is_zero():
+            m = rand_matrix(rng, p, 3, 3, dmax=5)
+        work, _, comp, _ = row_reduce(m, p, companion=identity(3, p))
+        # comp * m == work
+        assert mat_mul(comp, m, p) == work
 
 
 def test_row_reduce_threshold_short_circuit():
