@@ -17,7 +17,7 @@ from .orders import (
     ideal_pow,
     principal_ideal,
 )
-from .polymat import _vm
+from .polymat import _vm, in_lattice
 from .polys import Poly, poly_factor, poly_gcd
 
 
@@ -260,7 +260,9 @@ class Divisor:
         except ArithmeticError as exc:
             raise ValueError("finite part is not a fractional ideal: %s"
                              % exc) from None
-        if ideal_mul(fin, ideal_one(o)) != fin:
+        # I * O inside I, row by row: ideal_mul assumes ideals of O
+        if any(in_lattice(row, fin.h, p) is None
+               for w in fin.h for row in o.elem_mul_matrix(w)):
             raise ValueError("finite part is not closed under the order")
         return Divisor(field, fin, vec)
 

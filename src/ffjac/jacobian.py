@@ -12,8 +12,7 @@ divisor of the found function.
 from .divisors import (Divisor, finite_places_above, infinite_places,
                        infinite_valuations)
 from .polys import Poly
-from .orders import (Ideal, ideal_one, ideal_mul, ideal_inv,
-                     principal_ideal)
+from .orders import Ideal, ideal_inv, ideal_mul, ideal_mul_elem, ideal_one
 from .riemann_roch import _inf_profile, ssrr_reduce
 
 
@@ -233,8 +232,8 @@ class JacobianCtx:
         else:
             r, a = self._hr_min_binary(fin_inv, jbase, vec_base, off, fin_h)
         o0 = self.field.finite_order()
-        ia = principal_ideal(o0, o0.from_power(a.num), a.den)
-        fin3 = self._mul(fin, ia)
+        self.counters.partial_additions += 1
+        fin3 = ideal_mul_elem(fin, o0.from_power(a.num), a.den)
         veca = infinite_valuations(self.field, a)
         vec3 = list(vec_base)
         vec3[self.a_index] += r + off

@@ -256,21 +256,67 @@ def ideal_one(order: Order) -> Ideal:
     return Ideal(order, rows)
 
 
-def principal_ideal(order: Order, c, cden: Poly = None) -> Ideal:
+def ideal_mul_elem(a: Ideal, c, cden: Poly = None) -> Ideal:
+    """a times the nonzero element with order coordinates c / cden: the n
+    rows of a, each multiplied by the element."""
     if all(e.is_zero() for e in c):
-        raise ZeroDivisionError("principal ideal of zero")
-    return Ideal(order, order.elem_mul_matrix(c), cden)
+        raise ZeroDivisionError("product by zero")
+    order = a.order
+    m = order.elem_mul_matrix(c)
+    rows = [_vm(w, m, order.p) for w in a.h]
+    return Ideal(order, rows, a.den if cden is None else a.den * cden)
+
+
+def principal_ideal(order: Order, c, cden: Poly = None) -> Ideal:
+    return ideal_mul_elem(ideal_one(order), c, cden)
+
+
+def _beta(h, k: int, p: int):
+    """k-th second generator, an F_p-combination of the HNF rows after the
+    minimum: the sum of i * h[i] for k = 0, the sum of the h[i] for k = 1.
+    Unequal weights come first: with equal ones, rows whose residues at
+    another prime are 1 and -1 cancel, as at ramified infinite primes."""
+    out = [Poly.zero(p)] * len(h)
+    for i in range(1, len(h)):
+        c = i % p if k == 0 else 1
+        if c:
+            out = [e + r.scale(c) for e, r in zip(out, h[i])]
+    return out
+
+
+def _generators(a: Ideal):
+    """Generator lists of the module spanned by the rows a.h, in the order
+    they are tried: the minimum a.h[0] (a polynomial, as the first basis
+    element of the order is 1) with each of two second generators, then
+    all n rows, which always generate."""
+    h, p = a.h, a.order.p
+    for k in range(2):
+        yield [h[0], _beta(h, k, p)]
+    yield h
 
 
 def ideal_mul(a: Ideal, b: Ideal) -> Ideal:
+    """Product of two fractional ideals of a maximal order.
+
+    Stacks g * b.h over the generators g of a from _generators: 2n rows
+    for a pair (alpha, beta), n^2 rows for the last list.  The pair lies
+    in a, so its candidate lies in ab and equals it exactly when the
+    norm degrees add up; that is cancellation in a Dedekind domain and
+    needs both factors to be ideals of the maximal order.  The n^2-row
+    product is returned unchecked.
+    """
     order = a.order
     p = order.p
-    rows = []
-    for v in b.h:
-        m = order.elem_mul_matrix(v)
-        for u in a.h:
-            rows.append(_vm(u, m, p))
-    return Ideal(order, rows, a.den * b.den)
+    target = a.norm_degree() + b.norm_degree()
+    for gens in _generators(a):
+        rows = []
+        for g in gens:
+            m = order.elem_mul_matrix(g)
+            rows += [_vm(w, m, p) for w in b.h]
+        out = Ideal(order, rows, a.den * b.den)
+        if out.norm_degree() == target:
+            break
+    return out
 
 
 def ideal_pow(a: Ideal, k: int) -> Ideal:
@@ -308,20 +354,27 @@ def _colon_lattice(order: Order, gen_mats, rhs_rows):
 
 
 def ideal_inv(a: Ideal) -> Ideal:
-    """Inverse fractional ideal; the order must be maximal.
+    """Inverse of a fractional ideal of a maximal order.
 
     Computes the colon lattice {x : x * a inside O} as the dual of the
-    sum of the transposed multiplication lattices of the generators:
-    one HNF plus a triangular inversion, no kernel computation.
+    lattice spanned by the columns of the multiplication matrices of the
+    generators of a: one HNF plus a triangular inversion, no kernel
+    computation.  The generators come from _generators, as in ideal_mul:
+    the dual for a pair contains a^-1 and equals it exactly when the
+    HNF's diagonal degrees sum to those of a.h, again by cancellation in
+    the maximal order.  The dual for all n rows is used unchecked.
     """
     order = a.order
     p, n = order.p, order.n
-    rows = []
-    for w in a.h:
-        m = order.elem_mul_matrix(w)
-        for i in range(n):
-            rows.append([m[j][i] for j in range(n)])
-    hs = hnf_square(rows, p)
+    target = sum(a.h[j][j].deg for j in range(n))
+    for gens in _generators(a):
+        rows = []
+        for g in gens:
+            m = order.elem_mul_matrix(g)
+            rows += [[m[j][i] for j in range(n)] for i in range(n)]
+        hs = hnf_square(rows, p)
+        if sum(hs[j][j].deg for j in range(n)) == target:
+            break
     g, d = lower_tri_inverse(hs, p)
     L = [[g[j][i] * a.den for j in range(n)] for i in range(n)]
     return Ideal(order, L, d)
@@ -392,14 +445,15 @@ class PrimeIdeal(Ideal):
         if k >= 0:
             pows = self._pows
             while len(pows) <= k:
-                pows.append(ideal_mul(pows[-1], pows[1]))
+                # the prime first: its two generators are the short ones
+                pows.append(ideal_mul(pows[1], pows[-1]))
             return pows[k]
         if self._inv is None:
             self._inv = ideal_inv(self)
             self._inv_pows = [ideal_one(self.order), self._inv]
         pows = self._inv_pows
         while len(pows) <= -k:
-            pows.append(ideal_mul(pows[-1], pows[1]))
+            pows.append(ideal_mul(pows[1], pows[-1]))
         return pows[-k]
 
 

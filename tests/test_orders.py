@@ -5,11 +5,13 @@ import pytest
 from ffjac.divisors import Divisor, finite_places_above
 from ffjac.field import make_field
 from ffjac.jacobian import JacobianCtx
+from ffjac import orders
 from ffjac.orders import (
     Ideal,
     decompose_prime,
     ideal_inv,
     ideal_mul,
+    ideal_mul_elem,
     ideal_one,
     maximal_order,
     principal_ideal,
@@ -19,6 +21,7 @@ from ffjac.orders import (
     _maximalize_at,
     discriminant_support,
 )
+from ffjac.polymat import _vm, hnf_square, lower_tri_inverse
 from ffjac.polys import Poly, enumerate_monic_irreducibles, poly_factor
 
 
@@ -264,3 +267,136 @@ def test_valuation_memo_ends_one_past_the_valuation():
             got = pr.val_coords([e * qv for e in o.one_coords])
             assert got == v * pr.e
             assert len(pr._pows) <= got + 2
+
+
+# -- two-generator products and inverses against the n^2-row reference ----
+
+
+def ref_mul(a, b):
+    """Product from all n^2 products of HNF rows."""
+    order, p = a.order, a.order.p
+    rows = []
+    for v in b.h:
+        m = order.elem_mul_matrix(v)
+        rows += [_vm(u, m, p) for u in a.h]
+    return Ideal(order, rows, a.den * b.den)
+
+
+def ref_inv(a):
+    """Inverse as the dual of the columns of every row's multiplication
+    matrix (n^2 rows)."""
+    order = a.order
+    p, n = order.p, order.n
+    rows = []
+    for w in a.h:
+        m = order.elem_mul_matrix(w)
+        rows += [[m[j][i] for j in range(n)] for i in range(n)]
+    g, d = lower_tri_inverse(hnf_square(rows, p), p)
+    return Ideal(order, [[g[j][i] * a.den for j in range(n)]
+                         for i in range(n)], d)
+
+
+def fields_with_p7():
+    # t^3 + x^3 + x^2: singular at x, so the maximal order is not the
+    # equation order
+    return small_fields() + [
+        make_field(7, 3, [Poly([0, 0, 1, 1], 7), Poly([], 7), Poly([], 7)])]
+
+
+def random_ideals(o, rng, count):
+    """ideal_one and products of prime powers over linear primes, every
+    third one divided by a prime over a quadratic (so fractional), all
+    built with the reference product."""
+    p = o.p
+    q2 = next(enumerate_monic_irreducibles(p, 2))
+    out = [ideal_one(o)]
+    for i in range(count):
+        a = ideal_one(o)
+        for _ in range(rng.randint(1, 3)):
+            q = Poly([rng.randrange(p), 1], p)
+            pr = rng.choice(decompose_prime(o, q))
+            for _ in range(rng.randint(1, 2)):
+                a = ref_mul(a, pr)
+        if i % 3 == 2:
+            a = ref_mul(a, ref_inv(rng.choice(decompose_prime(o, q2))))
+        out.append(a)
+    return out
+
+
+def test_two_generator_product_and_inverse_match_reference():
+    rng = random.Random(5)
+    for f in fields_with_p7():
+        o = maximal_order(f)
+        ideals = random_ideals(o, rng, 6)
+        assert any(not a.is_integral() for a in ideals)
+        for a in ideals:
+            assert ideal_inv(a).key() == ref_inv(a).key()
+            for b in rng.sample(ideals, 3) + [ideal_one(o)]:
+                assert ideal_mul(a, b).key() == ref_mul(a, b).key()
+                assert ideal_mul(b, a).key() == ref_mul(a, b).key()
+
+
+def test_prime_powers_match_reference():
+    for f in fields_with_p7():
+        o = maximal_order(f)
+        for q in [x_poly(f.p), Poly([1, 1], f.p)]:
+            for pr in decompose_prime(o, q):
+                pos = neg = ideal_one(o)
+                inv = ref_inv(pr)
+                for k in range(1, 5):
+                    pos, neg = ref_mul(pos, pr), ref_mul(neg, inv)
+                    assert pr.power(k).key() == pos.key()
+                    assert pr.power(-k).key() == neg.key()
+
+
+def test_fallback_to_all_rows_when_the_pair_falls_short(monkeypatch):
+    # beta = alpha: the pair generates (alpha), a proper subideal of any
+    # ideal that is not a polynomial multiple of O
+    monkeypatch.setattr(orders, "_beta", lambda h, k, p: h[0])
+    sizes = []
+    generators = orders._generators
+
+    def spy(a):
+        for gens in generators(a):
+            sizes.append(len(gens))
+            yield gens
+
+    monkeypatch.setattr(orders, "_generators", spy)
+    rng = random.Random(9)
+    for f in fields_with_p7():
+        o = maximal_order(f)
+        n = f.n
+        pr = next(pr for pr in decompose_prime(o, x_poly(f.p))
+                  if pr.f < n)
+        for a, b in [(pr, ideal_one(o)),
+                     (pr, random_ideals(o, rng, 1)[1])]:
+            sizes.clear()
+            assert ideal_mul(a, b).key() == ref_mul(a, b).key()
+            assert sizes == [2, 2, n]
+            sizes.clear()
+            assert ideal_inv(a).key() == ref_inv(a).key()
+            assert sizes == [2, 2, n]
+        # a polynomial multiple of O is generated by its minimum alone
+        sizes.clear()
+        xo = ideal_mul_elem(ideal_one(o), [e * x_poly(f.p)
+                                          for e in o.one_coords])
+        assert ideal_mul(xo, pr).key() == ref_mul(xo, pr).key()
+        assert sizes == [2]
+
+
+def test_product_by_element_matches_principal_product():
+    rng = random.Random(13)
+    for f in fields_with_p7():
+        o = maximal_order(f)
+        p, n = f.p, f.n
+        for b in random_ideals(o, rng, 4):
+            c = [Poly([rng.randrange(p) for _ in range(3)], p)
+                 for _ in range(n)]
+            if all(e.is_zero() for e in c):
+                continue
+            den = Poly([rng.randrange(p), 1], p)
+            got = ideal_mul_elem(b, c, den)
+            assert got.key() == ideal_mul(b, principal_ideal(o, c, den)).key()
+            assert got.key() == ref_mul(b, principal_ideal(o, c, den)).key()
+    with pytest.raises(ZeroDivisionError):
+        ideal_mul_elem(ideal_one(o), [Poly.zero(p)] * n)
