@@ -10,13 +10,12 @@ columns move with the machine.
 
 import argparse
 import json
-import math
 import random
 import sys
 import time
 from pathlib import Path
 
-from .divisors import Divisor, finite_places_above, principal_divisor
+from .divisors import Divisor, principal_divisor
 from .field import FFElem, make_field
 from .fieldgen import (expected_structured_genus, field_metadata, gen_random,
                        gen_structured, read_field, write_field)
@@ -311,9 +310,9 @@ def cmd_selftest(args, parser):
 # -- reduce -----------------------------------------------------------------
 
 def cmd_reduce(args, parser):
-    field, _ = read_field(args.field)
-    ctx = JacobianCtx(field, strategy=args.strategy, caching=args.cache)
     try:
+        field, _ = read_field(args.field)
+        ctx = JacobianCtx(field, strategy=args.strategy, caching=args.cache)
         if args.divisor == "-":
             d = json.load(sys.stdin)
         else:

@@ -9,7 +9,6 @@ multiplication plus vector addition.
 
 from .orders import (
     Ideal,
-    _q_multiplicity,
     decompose_prime,
     ideal_inv,
     ideal_mul,
@@ -18,7 +17,7 @@ from .orders import (
     principal_ideal,
 )
 from .polymat import _vm, in_lattice
-from .polys import Poly, poly_factor, poly_gcd
+from .polys import Poly, _int_list, poly_gcd
 
 
 class Place:
@@ -65,16 +64,6 @@ def infinite_places(field):
 def finite_places_above(field, q: Poly):
     o = field.finite_order()
     return [Place(field, True, pr) for pr in decompose_prime(o, q)]
-
-
-def find_finite_degree_one_place(field):
-    """First place of degree one over a linear prime, or None."""
-    p = field.p
-    for c in range(p):
-        for pl in finite_places_above(field, Poly([-c % p, 1], p)):
-            if pl.degree() == 1:
-                return pl
-    return None
 
 
 # -- coordinates at infinity ---------------------------------------------
@@ -201,28 +190,6 @@ class Divisor:
                         for i in range(n)]
         return fin.norm_degree() - 2 * Ideal(fin.order, rows, den).norm_degree()
 
-    def finite_support(self):
-        """Sorted list of (Place, valuation) with nonzero valuation."""
-        field = self.field
-        o = self.fin.order
-        support = self.fin.det() * self.fin.den
-        out = []
-        if support.deg > 0:
-            for q, _ in poly_factor(support.monic())[1]:
-                for pr in decompose_prime(o, q):
-                    v = pr.val_ideal(self.fin)
-                    if v:
-                        out.append((Place(field, True, pr), v))
-        out.sort(key=lambda pv: pv[0].key())
-        return out
-
-    def support(self):
-        out = self.finite_support()
-        for v, pl in zip(self.inf_vec, infinite_places(self.field)):
-            if v:
-                out.append((pl, v))
-        return out
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -265,11 +232,6 @@ class Divisor:
                for w in fin.h for row in o.elem_mul_matrix(w)):
             raise ValueError("finite part is not closed under the order")
         return Divisor(field, fin, vec)
-
-
-def _int_list(c) -> bool:
-    return isinstance(c, list) and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in c)
 
 
 def principal_divisor(field, elem) -> Divisor:

@@ -1,17 +1,26 @@
-"""Arithmetic and factoring over extension fields GF(p^d).
+"""Polynomials in t over a coefficient ring, and factoring over GF(p^d).
 
-Elements of GF(p^d) = F_p[z]/(m) are Poly values reduced mod m, and a
-polynomial over GF(p^d) is a list of such values, lowest degree first.
-This layer is only used where residue fields of nontrivial degree show
-up (splitting primes, counting places), never in the reduction loop, so
-plain Python loops are fine here.
+A polynomial in t is a list of coefficients, lowest degree first, with no
+trailing zeros. Every fqp_* function takes the coefficient ring first;
+a ring provides zero(), one(), reduce(a), mul(a, b) and inv(a), and its
+elements support +, - and *. Three rings are used:
+
+- Fq: GF(p^d) = F_p[z]/(m), for residue fields (splitting primes,
+  counting places, the Dedekind test, specializations of f);
+- PolyRing: F_p[x], or F_p[x]/(x^cap), for the x-adic Hensel lift, its
+  exact trial divisions, and products of power-basis coordinates;
+- RatFuncField: F_p(x), for gcds and inverses over the function field.
+
+This is the one implementation of polynomial-in-t arithmetic. It runs only
+at field set-up, never in the reduction loop, so plain Python loops are
+fine here. Factoring (fqp_factor and its helpers) needs a finite field.
 """
 
 from __future__ import annotations
 
 import random
 
-from .polys import Poly
+from .polys import Poly, RatFunc, _inv_mod
 
 
 class Fq:
@@ -38,12 +47,6 @@ class Fq:
 
     def reduce(self, a: Poly) -> Poly:
         return a % self.modulus
-
-    def add(self, a: Poly, b: Poly) -> Poly:
-        return a + b
-
-    def sub(self, a: Poly, b: Poly) -> Poly:
-        return a - b
 
     def mul(self, a: Poly, b: Poly) -> Poly:
         return (a * b) % self.modulus
@@ -75,10 +78,69 @@ class Fq:
         return Poly(c, self.p)
 
 
+class PolyRing:
+    """F_p[x], or F_p[x]/(x^cap) when cap is given."""
+
+    __slots__ = ("p", "cap")
+
+    def __init__(self, p: int, cap: int = None):
+        self.p = p
+        self.cap = cap
+
+    def zero(self) -> Poly:
+        return Poly.zero(self.p)
+
+    def one(self) -> Poly:
+        return Poly.one(self.p)
+
+    def reduce(self, a: Poly) -> Poly:
+        if self.cap is None or a.deg < self.cap:
+            return a
+        return Poly(a.c[: self.cap], self.p)
+
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        return self.reduce(a * b)
+
+    def inv(self, a: Poly) -> Poly:
+        # nonzero constants only: every divisor here is monic in t
+        if a.deg != 0:
+            raise ArithmeticError("only nonzero constants are inverted")
+        return Poly.const(_inv_mod(a.lc, self.p), self.p)
+
+
+class RatFuncField:
+    """F_p(x) over RatFunc."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def zero(self) -> RatFunc:
+        return RatFunc.zero(self.p)
+
+    def one(self) -> RatFunc:
+        return RatFunc.one(self.p)
+
+    def reduce(self, a: RatFunc) -> RatFunc:
+        return a
+
+    def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
+        return a * b
+
+    def inv(self, a: RatFunc) -> RatFunc:
+        return a.inverse()
+
+
 def fqp_trim(f: list) -> list:
     while f and f[-1].is_zero():
         f.pop()
     return f
+
+
+def fqp_reduce(ctx, f) -> list:
+    """f with every coefficient reduced into ctx."""
+    return fqp_trim([ctx.reduce(e) for e in f])
 
 
 def fqp_deg(f: list) -> int:
@@ -89,7 +151,7 @@ def fqp_is_zero(f: list) -> bool:
     return not f
 
 
-def fqp_add(ctx: Fq, f: list, g: list) -> list:
+def fqp_add(ctx, f: list, g: list) -> list:
     n = max(len(f), len(g))
     out = []
     for i in range(n):
@@ -99,7 +161,7 @@ def fqp_add(ctx: Fq, f: list, g: list) -> list:
     return fqp_trim(out)
 
 
-def fqp_sub(ctx: Fq, f: list, g: list) -> list:
+def fqp_sub(ctx, f: list, g: list) -> list:
     n = max(len(f), len(g))
     out = []
     for i in range(n):
@@ -109,7 +171,7 @@ def fqp_sub(ctx: Fq, f: list, g: list) -> list:
     return fqp_trim(out)
 
 
-def fqp_mul(ctx: Fq, f: list, g: list) -> list:
+def fqp_mul(ctx, f: list, g: list) -> list:
     if not f or not g:
         return []
     out = [ctx.zero()] * (len(f) + len(g) - 1)
@@ -117,17 +179,18 @@ def fqp_mul(ctx: Fq, f: list, g: list) -> list:
         if a.is_zero():
             continue
         for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return fqp_trim([ctx.reduce(e) for e in out])
+            if not b.is_zero():
+                out[i + j] = out[i + j] + a * b
+    return fqp_reduce(ctx, out)
 
 
-def fqp_scale(ctx: Fq, f: list, a: Poly) -> list:
+def fqp_scale(ctx, f: list, a) -> list:
     if a.is_zero():
         return []
     return fqp_trim([ctx.mul(e, a) for e in f])
 
 
-def fqp_monic(ctx: Fq, f: list) -> list:
+def fqp_monic(ctx, f: list) -> list:
     if not f:
         return f
     lead = f[-1]
@@ -136,7 +199,7 @@ def fqp_monic(ctx: Fq, f: list) -> list:
     return fqp_scale(ctx, f, ctx.inv(lead))
 
 
-def fqp_divmod(ctx: Fq, f: list, g: list):
+def fqp_divmod(ctx, f: list, g: list):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     f = list(f)
@@ -153,15 +216,26 @@ def fqp_divmod(ctx: Fq, f: list, g: list):
     return fqp_trim(q), f
 
 
-def fqp_mod(ctx: Fq, f: list, g: list) -> list:
+def fqp_mod(ctx, f: list, g: list) -> list:
     return fqp_divmod(ctx, f, g)[1]
 
 
-def fqp_gcd(ctx: Fq, f: list, g: list) -> list:
+def fqp_gcd(ctx, f: list, g: list) -> list:
     a, b = list(f), list(g)
     while b:
         a, b = b, fqp_mod(ctx, a, b)
     return fqp_monic(ctx, a)
+
+
+def fqp_half_xgcd(ctx, f: list, g: list):
+    """(r, s): r a gcd of f and g, not normalized, and s * f = r mod g."""
+    r0, r1 = list(f), list(g)
+    s0, s1 = [ctx.one()], []
+    while r1:
+        q, r = fqp_divmod(ctx, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, fqp_sub(ctx, s0, fqp_mul(ctx, q, s1))
+    return r0, s0
 
 
 def fqp_powmod(ctx: Fq, f: list, e: int, g: list) -> list:
@@ -175,7 +249,7 @@ def fqp_powmod(ctx: Fq, f: list, e: int, g: list) -> list:
     return r
 
 
-def fqp_derivative(ctx: Fq, f: list) -> list:
+def fqp_derivative(ctx, f: list) -> list:
     out = []
     for i in range(1, len(f)):
         out.append(f[i].scale(i % ctx.p))

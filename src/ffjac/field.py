@@ -10,14 +10,12 @@ power basis 1, t, ..., t^{n-1} over K(x) with a cleared denominator.
 
 from __future__ import annotations
 
-from .polys import (
-    Poly,
-    RatFunc,
-    poly_gcd,
-    poly_is_irreducible,
-    poly_xgcd,
-)
-from .polymat import bareiss_det
+from .extpoly import (PolyRing, RatFuncField, fqp_add, fqp_deg,
+                      fqp_derivative, fqp_divmod, fqp_gcd, fqp_half_xgcd,
+                      fqp_is_irreducible, fqp_mul, fqp_reduce, fqp_sub,
+                      fqp_trim, make_field_ext)
+from .polys import (Poly, RatFunc, _int_list, poly_gcd, poly_is_irreducible,
+                    poly_xgcd)
 
 
 def _is_prime(m: int) -> bool:
@@ -180,11 +178,6 @@ class FunctionField:
     def zero(self) -> "FFElem":
         return FFElem(self, [Poly.zero(self.p)] * self.n)
 
-    def gen(self) -> "FFElem":
-        num = [Poly.zero(self.p)] * self.n
-        num[1] = Poly.one(self.p)
-        return FFElem(self, num)
-
     # -- lazy heavy structure ---------------------------------------------
 
     def finite_order(self):
@@ -222,9 +215,15 @@ class FunctionField:
 
     @staticmethod
     def from_dict(d: dict, check: bool = True) -> "FunctionField":
-        p = int(d["p"])
-        n = int(d["n"])
-        coeffs = [Poly(c, p) for c in d["coeffs"]]
+        """Inverse of to_dict; raises ValueError on malformed input."""
+        try:
+            p, n, coeffs = d["p"], d["n"], d["coeffs"]
+        except (KeyError, TypeError):
+            raise ValueError("field needs p, n and coeffs") from None
+        if not (_int_list([p, n]) and isinstance(coeffs, list)
+                and all(_int_list(c) for c in coeffs)):
+            raise ValueError("p and n must be integers and coeffs a list "
+                             "of integer lists")
         if len(coeffs) != n:
             raise ValueError("coefficient count does not match degree")
         return FunctionField(coeffs, p, check=check)
@@ -311,45 +310,25 @@ class FFElem:
 
     def __mul__(self, other):
         self._check(other)
-        n = self.field.n
-        conv = [Poly.zero(self.field.p)] * (2 * n - 1)
-        for i, a in enumerate(self.num):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.num):
-                if not b.is_zero():
-                    conv[i + j] = conv[i + j] + a * b
+        conv = fqp_mul(PolyRing(self.field.p), self.num, other.num)
         red = self.field.reduce_tpoly(conv)
         return FFElem(self.field, red, self.den * other.den)
-
-    def mul_matrix_rows(self):
-        """Rows over K[x]: coordinates of num * t^j for j = 0..n-1."""
-        n = self.field.n
-        rows = []
-        for j in range(n):
-            clist = [Poly.zero(self.field.p)] * j + list(self.num)
-            rows.append(self.field.reduce_tpoly(clist))
-        return rows
-
-    def norm(self) -> RatFunc:
-        det = bareiss_det(self.mul_matrix_rows(), self.field.p)
-        dpow = self.den ** self.field.n
-        return RatFunc(det, dpow)
 
     def inverse(self) -> "FFElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         f = self.field
         one = Poly.one(f.p)
-        fc = [RatFunc(a, one) for a in f.coeffs] + [RatFunc(one, one)]
-        ac = [RatFunc(a, one) for a in self.num]
-        g, s = _rt_half_xgcd(ac, fc, f.p)
+        K = RatFuncField(f.p)
+        fc = [RatFunc(a) for a in f.coeffs] + [K.one()]
+        ac = fqp_trim([RatFunc(a) for a in self.num])
+        g, s = fqp_half_xgcd(K, ac, fc)
         if len(g) != 1:
             raise ArithmeticError("element not invertible; f reducible?")
         ginv = g[0].inverse()
         vals = [c * ginv for c in s]
         while len(vals) < f.n:
-            vals.append(RatFunc(Poly.zero(f.p), one))
+            vals.append(K.zero())
         vals = vals[: f.n]
         den_lcm = one
         for v in vals:
@@ -369,151 +348,18 @@ class FFElem:
         return "FFElem((%s) / (%s))" % (body, self.den)
 
 
-# -- rational-coefficient polynomial helpers (cold path, tiny degrees) ------
-
-
-def _rt_trim(f):
-    while f and f[-1].is_zero():
-        f.pop()
-    return f
-
-
-def _rt_zero(p):
-    return RatFunc(Poly.zero(p), Poly.one(p))
-
-
-def _rt_divmod(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv = b[-1].inverse()
-    q = [_rt_zero(p)] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        c = a[-1] * inv
-        q[k] = c
-        for i in range(db + 1):
-            a[k + i] = a[k + i] - c * b[i]
-        _rt_trim(a)
-    return q, a
-
-
-def _rt_half_xgcd(a, b, p):
-    """gcd and first Bezout coefficient for t-polynomials over K(x)."""
-    zero = _rt_zero(p)
-    one = RatFunc(Poly.one(p), Poly.one(p))
-    r0, r1 = list(a), list(b)
-    s0, s1 = [one], []
-    while r1:
-        q, r = _rt_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        prod = _rt_mul_q(q, s1, zero)
-        s0, s1 = s1, _rt_sub(s0, prod, zero)
-    return r0, s0
-
-
-def _rt_mul_q(q, s, zero):
-    if not q or not s:
-        return []
-    out = [zero] * (len(q) + len(s) - 1)
-    for i, c in enumerate(q):
-        if c.is_zero():
-            continue
-        for j, d in enumerate(s):
-            out[i + j] = out[i + j] + c * d
-    return _rt_trim(out)
-
-
-def _rt_sub(a, b, zero):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(x - y)
-    return _rt_trim(out)
-
-
 # -- irreducibility ---------------------------------------------------------
 
 
-def _bt_trim(f):
-    while f and f[-1].is_zero():
-        f.pop()
-    return f
-
-
-def _bt_trunc(f, cap):
-    if cap is None:
-        return f
-    from .polys import _mk, _trim
-
-    out = []
-    for c in f:
-        if c.deg >= cap:
-            out.append(_mk(_trim(c.c[:cap].copy()), c.p))
-        else:
-            out.append(c)
-    return _bt_trim(out)
-
-
-def _bt_add(a, b, p):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else Poly.zero(p)
-        y = b[i] if i < len(b) else Poly.zero(p)
-        out.append(x + y)
-    return _bt_trim(out)
-
-
-def _bt_mul(a, b, p, cap):
-    if not a or not b:
-        return []
-    out = [Poly.zero(p)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c.is_zero():
-            continue
-        for j, d in enumerate(b):
-            if not d.is_zero():
-                out[i + j] = out[i + j] + c * d
-    return _bt_trunc(out, cap) if cap is not None else _bt_trim(out)
-
-
-def _bt_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else Poly.zero(p)
-        y = b[i] if i < len(b) else Poly.zero(p)
-        out.append(x - y)
-    return _bt_trim(out)
-
-
-def _bt_divmod(a, b, p, cap):
-    """Division by b monic in t (leading coefficient the constant 1)."""
-    a = list(a)
-    db = len(b) - 1
-    q = [Poly.zero(p)] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        c = a[-1]
-        q[k] = c
-        for i in range(db + 1):
-            prod = c * b[i]
-            a[k + i] = a[k + i] - prod
-        a = _bt_trunc(a, cap) if cap is not None else a
-        _bt_trim(a)
-    return _bt_trim(q), a
-
-
-def _uni_to_bt(f: Poly, p: int):
+def _const_tpoly(f: Poly, p: int):
+    """f in F_p[t] as a polynomial in t with constant F_p[x] coefficients."""
     return [Poly.const(int(c), p) for c in f.c]
 
 
 def _hensel_tree(fT, facs, p, cap):
     """Lift the pairwise-coprime monic factorization of fT mod x to x^cap."""
     if len(facs) == 1:
-        return [_bt_trunc(fT, cap)]
+        return [fqp_reduce(PolyRing(p, cap), fT)]
     half = len(facs) // 2
     left, right = facs[:half], facs[half:]
     g0 = Poly.one(p)
@@ -531,31 +377,22 @@ def _hensel_pair(fT, g0, h0, p, cap):
     gcdv, s0, t0 = poly_xgcd(g0, h0)
     if gcdv.deg != 0:
         raise ArithmeticError("modular factors not coprime")
-    g = _uni_to_bt(g0, p)
-    h = _uni_to_bt(h0, p)
-    s = _uni_to_bt(s0, p)
-    t = _uni_to_bt(t0, p)
+    g, h, s, t = (_const_tpoly(f, p) for f in (g0, h0, s0, t0))
     m = 1
     while m < cap:
         m2 = min(2 * m, cap)
-        e = _bt_sub(_bt_trunc(fT, m2), _bt_mul(g, h, p, m2), p)
+        R = PolyRing(p, m2)
+        e = fqp_sub(R, fqp_reduce(R, fT), fqp_mul(R, g, h))
         if e:
-            q, r = _bt_divmod(_bt_mul(s, e, p, m2), h, p, m2)
-            te = _bt_mul(t, e, p, m2)
-            qg = _bt_mul(q, g, p, m2)
-            g = _bt_trunc(_bt_add(_bt_add(g, te, p), qg, p), m2)
-            h = _bt_trunc(_bt_add(h, r, p), m2)
-        b = _bt_sub(
-            _bt_add(_bt_mul(s, g, p, m2), _bt_mul(t, h, p, m2), p),
-            [Poly.one(p)],
-            p,
-        )
+            q, r = fqp_divmod(R, fqp_mul(R, s, e), h)
+            g = fqp_add(R, fqp_add(R, g, fqp_mul(R, t, e)), fqp_mul(R, q, g))
+            h = fqp_add(R, h, r)
+        b = fqp_sub(R, fqp_add(R, fqp_mul(R, s, g), fqp_mul(R, t, h)),
+                    [R.one()])
         if b:
-            c, d = _bt_divmod(_bt_mul(s, b, p, m2), h, p, m2)
-            s = _bt_sub(s, d, p)
-            tb = _bt_mul(t, b, p, m2)
-            cg = _bt_mul(c, g, p, m2)
-            t = _bt_sub(_bt_sub(t, tb, p), cg, p)
+            c, d = fqp_divmod(R, fqp_mul(R, s, b), h)
+            s = fqp_sub(R, s, d)
+            t = fqp_sub(R, fqp_sub(R, t, fqp_mul(R, t, b)), fqp_mul(R, c, g))
         m = m2
     if not g or g[-1] != Poly.one(p):
         raise ArithmeticError("lift lost monicity")
@@ -563,20 +400,10 @@ def _hensel_pair(fT, g0, h0, p, cap):
 
 
 def _field_gcd_t(coeffs_full, p):
-    """gcd in t of f and df/dt over K(x); returns the t-degree."""
-    one = Poly.one(p)
-    a = [RatFunc(c, one) for c in coeffs_full]
-    b = []
-    for i in range(1, len(coeffs_full)):
-        b.append(RatFunc(coeffs_full[i].scale(i % p), one))
-    _rt_trim(b)
-    if not b:
-        return -1
-    r0, r1 = a, b
-    while r1:
-        _, r = _rt_divmod(r0, r1, p)
-        r0, r1 = r1, r
-    return len(r0) - 1
+    """t-degree of gcd(f, df/dt) over K(x), for f with df/dt nonzero."""
+    df = [RatFunc(c) for c in fqp_derivative(PolyRing(p), coeffs_full)]
+    f = [RatFunc(c) for c in coeffs_full]
+    return fqp_deg(fqp_gcd(RatFuncField(p), f, df))
 
 
 def is_irreducible(coeffs, p: int, _twisted: bool = False) -> bool:
@@ -642,8 +469,6 @@ def is_irreducible(coeffs, p: int, _twisted: bool = False) -> bool:
                 break
     if good is None and p <= 16:
         # fast accept at small extension points before giving up
-        from .extpoly import fqp_is_irreducible, make_field_ext
-
         for d in (2, 3, 4):
             ctx = make_field_ext(p, d)
             for trial in range(ctx.order):
@@ -653,10 +478,7 @@ def is_irreducible(coeffs, p: int, _twisted: bool = False) -> bool:
                     cc.append(v % p)
                     v //= p
                 pt = Poly(cc, p)
-                fc = [_horner_ext(ctx, a, pt) for a in coeffs]
-                fc.append(ctx.one())
-                while fc and fc[-1].is_zero():
-                    fc.pop()
+                fc = [_horner_ext(ctx, a, pt) for a in coeffs] + [ctx.one()]
                 if fqp_is_irreducible(ctx, fc):
                     return True
     if good is None and not _twisted:
@@ -694,14 +516,14 @@ def is_irreducible(coeffs, p: int, _twisted: bool = False) -> bool:
     r = len(lifted)
     from itertools import combinations
 
+    truncated, exact = PolyRing(p, cap), PolyRing(p)
     for size in range(1, r // 2 + 1):
         for picks in combinations(range(r), size):
             cand = [Poly.one(p)]
             for i in picks:
-                cand = _bt_mul(cand, lifted[i], p, cap)
+                cand = fqp_mul(truncated, cand, lifted[i])
             # exact bivariate trial division, no truncation
-            _, rr = _bt_divmod(fT, cand, p, None)
-            if not rr:
+            if not fqp_divmod(exact, fT, cand)[1]:
                 return False
     return True
 

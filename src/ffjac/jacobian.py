@@ -299,12 +299,6 @@ class JacobianCtx:
                                 self._materialize(div.inf_vec),
                                 div.inf_vec, 0, fin_h)
 
-    def element_of_place(self, place, mult: int = 1) -> JacElem:
-        """Class of mult*(P - deg(P)*A)."""
-        D = Divisor.from_place(place, mult) - Divisor.from_place(
-            self.A, mult * place.degree())
-        return self.reduce_divisor(D)
-
 
 def random_class(ctx: JacobianCtx, rng) -> JacElem:
     """Reduce a sum of max(g, 1) random finite places, each balanced by A.

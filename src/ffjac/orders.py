@@ -12,9 +12,8 @@ import random
 
 import numpy as np
 
-from .extpoly import (Fq, fqp_deg, fqp_divmod, fqp_factor, fqp_gcd,
-                      fqp_is_zero, fqp_mul, fqp_trim)
-from .field import _bt_mul, _bt_sub
+from .extpoly import (Fq, PolyRing, fqp_deg, fqp_divmod, fqp_factor, fqp_gcd,
+                      fqp_is_zero, fqp_mul, fqp_reduce, fqp_sub)
 from .polymat import (
     _vm,
     bareiss_det,
@@ -142,17 +141,11 @@ class Order:
         if self._table is None:
             fld = self.field
             p, n, d = self.p, self.n, self.den
+            ring = PolyRing(p)
             T = [[None] * n for _ in range(n)]
             for a in range(n):
                 for b in range(a, n):
-                    conv = [Poly.zero(p)] * (2 * n - 1)
-                    ra, rb = self.basis[a], self.basis[b]
-                    for i in range(n):
-                        if ra[i].is_zero():
-                            continue
-                        for j in range(n):
-                            if not rb[j].is_zero():
-                                conv[i + j] = conv[i + j] + ra[i] * rb[j]
+                    conv = fqp_mul(ring, self.basis[a], self.basis[b])
                     vec = fld.reduce_tpoly(conv)
                     scaled = [e.exact_div(d) for e in vec]
                     c = in_lattice(scaled, self.basis, p)
@@ -172,11 +165,6 @@ class Order:
         return _vm(u, self.elem_mul_matrix(v), self.p)
 
     # -- coordinate conversion -------------------------------------------
-
-    def to_power(self, c):
-        """Power-basis numerator of the element with coordinates c; the
-        implied denominator is self.den."""
-        return _vm(c, self.basis, self.p)
 
     def from_power(self, vec):
         """Coordinates of sum vec[j] t^j, or None when not in the order."""
@@ -238,15 +226,6 @@ class Ideal:
     def scale(self, g: Poly) -> "Ideal":
         return Ideal(self.order, [[e * g for e in row] for row in self.h],
                      self.den)
-
-    def contains(self, c, cden: Poly = None) -> bool:
-        """Membership of the element with order coordinates c / cden."""
-        p = self.order.p
-        num = [e * self.den for e in c]
-        if cden is None or cden.is_one():
-            return in_lattice(num, self.h, p) is not None
-        rows = [[e * cden for e in row] for row in self.h]
-        return in_lattice(num, rows, p) is not None
 
 
 def ideal_one(order: Order) -> Ideal:
@@ -434,10 +413,6 @@ class PrimeIdeal(Ideal):
     def val_fraction(self, c, cden: Poly) -> int:
         return self.val_coords(c) - self.e * _q_multiplicity(cden, self.q)
 
-    def val_ideal(self, ideal: Ideal) -> int:
-        v = min(self.val_coords(row) for row in ideal.h)
-        return v - self.e * _q_multiplicity(ideal.den, self.q)
-
     def power(self, k: int) -> Ideal:
         # memoized both ways
         if self._pows is None:
@@ -514,10 +489,9 @@ def _dedekind_q_maximal(field, q: Poly) -> bool:
     # natural lifts: residue coefficients are already polynomials of
     # degree < deg q
     flist = list(field.coeffs) + [Poly.one(p)]
-    prod = _bt_mul(list(gbar), list(hbar), p, None)
-    diff = _bt_sub(prod, flist, p)
-    F = [c.exact_div(q) for c in diff]
-    Fbar = fqp_trim([ctx.reduce(c) for c in F])
+    ring = PolyRing(p)
+    diff = fqp_sub(ring, fqp_mul(ring, gbar, hbar), flist)
+    Fbar = fqp_reduce(ctx, [c.exact_div(q) for c in diff])
     z = fqp_gcd(ctx, fqp_gcd(ctx, gbar, hbar), Fbar)
     return fqp_deg(z) <= 0
 

@@ -120,12 +120,6 @@ class Poly:
     def x(p: int) -> "Poly":
         return Poly([0, 1], p)
 
-    @staticmethod
-    def x_pow(k: int, p: int) -> "Poly":
-        c = np.zeros(k + 1, dtype=np.int64)
-        c[k] = 1
-        return _mk(c, p)
-
     # -- basic queries --------------------------------------------------------
 
     @property
@@ -262,16 +256,6 @@ class Poly:
             out[n - self.deg :] = self.c[::-1]
         return _mk(_trim(out), self.p)
 
-    def compose_xpow(self, k: int) -> "Poly":
-        """f(x^k), k >= 1."""
-        if k < 1:
-            raise ValueError("compose_xpow needs k >= 1")
-        if self.is_zero():
-            return self
-        out = np.zeros(self.deg * k + 1, dtype=np.int64)
-        out[::k][: len(self.c)] = self.c
-        return _mk(_trim(out), self.p)
-
     # -- comparisons ---------------------------------------------------------------
 
     def __eq__(self, other):
@@ -290,6 +274,12 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s, p=%d)" % (poly_str(self), self.p)
+
+
+def _int_list(c) -> bool:
+    """Whether c is a list of ints (not bools), as JSON input must be."""
+    return isinstance(c, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in c)
 
 
 def _mk(c: np.ndarray, p: int) -> Poly:
@@ -540,10 +530,6 @@ class RatFunc:
                     den = den.scale(inv)
         self.num = num
         self.den = den
-
-    @staticmethod
-    def from_poly(f: Poly) -> "RatFunc":
-        return RatFunc(f, Poly.one(f.p), reduce=False)
 
     @staticmethod
     def zero(p: int) -> "RatFunc":

@@ -124,14 +124,16 @@ def test_selftest_fails_under_optimize():
 def test_reduction_checks_survive_optimize():
     proc = _run_optimized(
         "import ffjac.jacobian as jac\n"
-        "from ffjac import JacobianCtx, Poly, finite_places_above, make_field\n"
+        "from ffjac import (Divisor, JacobianCtx, Poly, finite_places_above,\n"
+        "                   make_field)\n"
         "F = make_field(5, 2, [Poly([0, -1, 0, -1], 5), Poly([], 5)])\n"
         "ctx = JacobianCtx(F)\n"
         "pl = finite_places_above(F, Poly([0, 1], 5))[0]\n"
         "val = jac.infinite_valuations\n"
         "jac.infinite_valuations = lambda f, a: [v + 1 for v in val(f, a)]\n"
         "try:\n"
-        "    ctx.element_of_place(pl)\n"
+        "    ctx.reduce_divisor(Divisor.from_place(pl)\n"
+        "                       - Divisor.from_place(ctx.A, pl.degree()))\n"
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError', exc)\n")
     assert proc.returncode == 0, proc.stderr
@@ -222,3 +224,39 @@ def test_reduce_rejects_malformed_divisors(tmp_path, capsys, monkeypatch):
         assert len(lines) == 1 and lines[0].startswith("ffjac reduce: "), \
             (text, out.err)
         assert why in lines[0], (text, lines[0])
+
+
+def test_reduce_rejects_malformed_field_files(tmp_path, capsys, monkeypatch):
+    import io
+    field_path = gen_one(tmp_path)
+    capsys.readouterr()
+    good = json.load(open(field_path))
+    zero = json.dumps(Divisor.zero(read_field(field_path)[0]).to_dict())
+    cases = [
+        ({k: v for k, v in good.items() if k != "n"}, "needs p, n and coeffs"),
+        (dict(good, coeffs=[[1], "x", []]), "integer lists"),
+        (dict(good, coeffs=[[1.5], [1], []]), "integer lists"),
+        (dict(good, p=32771.0), "must be integers"),
+        ([1, 2, 3], "needs p, n and coeffs"),
+        (dict(good, coeffs=good["coeffs"][:2]), "coefficient count"),
+        (dict(good, p=4), "p must be a prime"),
+    ]
+    paths = []
+    for i, (d, why) in enumerate(cases):
+        path = tmp_path / ("bad%d.json" % i)
+        path.write_text(json.dumps(d))
+        paths.append((path, why))
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"p": ')
+    paths.append((broken, "Expecting value"))
+    paths.append((tmp_path / "missing.json", "No such file"))
+    for path, why in paths:
+        monkeypatch.setattr("sys.stdin", io.StringIO(zero))
+        rc = main(["reduce", "--field", str(path), "--divisor", "-"])
+        out = capsys.readouterr()
+        assert rc == 1, path
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ffjac reduce: "), \
+            (path, out.err)
+        assert why in lines[0], (path, lines[0])

@@ -4,18 +4,21 @@ import pytest
 
 from ffjac.extpoly import (
     Fq,
+    PolyRing,
+    RatFuncField,
     fqp_add,
     fqp_deg,
     fqp_divmod,
     fqp_factor,
     fqp_gcd,
+    fqp_half_xgcd,
     fqp_is_irreducible,
     fqp_monic,
     fqp_mul,
     fqp_sub,
     make_field_ext,
 )
-from ffjac.polys import Poly
+from ffjac.polys import Poly, RatFunc
 
 
 def test_fq_field_ops():
@@ -137,3 +140,45 @@ def test_fqp_factor_zero_raises():
     ctx = make_field_ext(3, 2)
     with pytest.raises(ValueError):
         fqp_factor(ctx, [])
+
+
+def test_half_xgcd_bezout_over_fq():
+    rng = random.Random(11)
+    ctx = make_field_ext(3, 2)
+    for _ in range(20):
+        f, g = rand_fqp(ctx, rng, 5), rand_fqp(ctx, rng, 4)
+        if not g:
+            continue
+        r, s = fqp_half_xgcd(ctx, f, g)
+        assert fqp_monic(ctx, r) == fqp_gcd(ctx, f, g)
+        assert fqp_divmod(ctx, fqp_sub(ctx, fqp_mul(ctx, s, f), r), g)[1] == []
+
+
+def test_rational_function_coefficients():
+    # over F_5(x): f = (t - x)(t + 1/x), g = (t - x)(t^2 + x); gcd t - x
+    p = 5
+    K = RatFuncField(p)
+    x = RatFunc(Poly.x(p))
+    lin = [-x, K.one()]
+    f = fqp_mul(K, lin, [x.inverse(), K.one()])
+    g = fqp_mul(K, lin, [x, K.zero(), K.one()])
+    assert fqp_gcd(K, f, g) == lin
+    r, s = fqp_half_xgcd(K, f, g)
+    assert fqp_monic(K, r) == lin
+    assert fqp_divmod(K, fqp_sub(K, fqp_mul(K, s, f), r), g)[1] == []
+
+
+def test_truncated_polynomial_ring():
+    p, cap = 7, 3
+    R, exact = PolyRing(p, cap), PolyRing(p)
+    rng = random.Random(4)
+    for _ in range(10):
+        f = [Poly([rng.randrange(p) for _ in range(5)], p) for _ in range(3)]
+        g = [Poly([rng.randrange(p) for _ in range(5)], p) for _ in range(2)]
+        want = [Poly(c.c[:cap], p) for c in fqp_mul(exact, f, g)]
+        while want and want[-1].is_zero():
+            want.pop()
+        assert fqp_mul(R, f, g) == want
+    assert R.inv(Poly.const(3, p)) == Poly.const(5, p)
+    with pytest.raises(ArithmeticError):
+        R.inv(Poly([1, 1], p))

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from ffjac.field import FFElem, FunctionField, compute_cf, is_irreducible, make_field
-from ffjac.polys import Poly, RatFunc
+from ffjac.field import (FFElem, FunctionField, _hensel_tree, _taylor_shift,
+                         compute_cf, is_irreducible, make_field)
+from ffjac.polys import Poly, RatFunc, poly_factor, poly_gcd
+from helpers import norm
 
 
 def ff_tiny():
@@ -28,12 +30,17 @@ def test_make_field_validation():
         make_field(5, 2, [[0, 0, 4], []])  # t^2 - x^2 reducible
 
 
+def gen(f):
+    """The generator t of f."""
+    return f.elem([[]] + [[1]] + [[]] * (f.n - 2))
+
+
 def test_cf_values():
     f = ff_tiny()
     assert f.cf == 2
     assert compute_cf([Poly([0, 1], 5), Poly.zero(5), Poly.zero(5)], 3) == 1
     # deg a_0 = 7 with n = 3 forces ceil(7/3) = 3
-    assert compute_cf([Poly.x_pow(7, 5), Poly.zero(5), Poly.zero(5)], 3) == 3
+    assert compute_cf([Poly([0] * 7 + [1], 5), Poly.zero(5), Poly.zero(5)], 3) == 3
 
 
 def test_twist_coeffs_polynomial_and_exact():
@@ -82,21 +89,21 @@ def test_elem_inverse_and_norm_multiplicative():
         )
         if b.is_zero():
             continue
-        na, nb, nab = a.norm(), b.norm(), (a * b).norm()
+        na, nb, nab = norm(a), norm(b), norm(a * b)
         assert na * nb == nab
 
 
 def test_norm_of_generator():
     # N(t) = (-1)^n * a_0
     f = ff_cubic()
-    t = f.gen()
-    assert t.norm() == RatFunc(Poly([0, -1 % 5], 5))
+    t = gen(f)
+    assert norm(t) == RatFunc(Poly([0, -1 % 5], 5))
 
 
 def test_minimal_poly_identity():
     # f(t) = 0 in the field
     f = ff_cubic()
-    t = f.gen()
+    t = gen(f)
     acc = t * t * t + f.elem([Poly([0, 1], 5), Poly.zero(5), Poly.zero(5)]) * t
     acc = acc + f.elem([Poly([0, 1], 5), Poly.zero(5), Poly.zero(5)])
     assert acc.is_zero()
@@ -123,6 +130,56 @@ def test_irreducibility_hensel_accept_no_fast_path():
     a2 = Poly([(-2) % p, (-4) % p], p)  # -2(2x+1)
     a0 = Poly([1], p)
     assert is_irreducible([a0, Poly.zero(p), a2, Poly.zero(p)], p)
+
+
+def _squarefree_point(coeffs, p):
+    for c in range(p):
+        fc = Poly([a.evaluate(c) for a in coeffs] + [1], p)
+        if poly_gcd(fc, fc.derivative()).deg == 0:
+            return c
+
+
+def _tpoly_mul(f, g, p):
+    out = [Poly.zero(p)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def test_hensel_lift_factors_are_monic_and_multiply_to_f():
+    # the polynomials of the two test_irreducibility_hensel_* tests
+    p = 5
+    a0 = Poly([0, 1], p) * Poly([1, 1], p)
+    cases = [[a0, Poly.zero(p), Poly([-1 % p, -2 % p], p), Poly.zero(p)],
+             [Poly([1], p), Poly.zero(p), Poly([-2 % p, -4 % p], p),
+              Poly.zero(p)]]
+    for coeffs in cases:
+        n = len(coeffs)
+        # the lift runs at a squarefree specialization, shifted to x = 0
+        good = _squarefree_point(coeffs, p)
+        fT = [_taylor_shift(a, good) for a in coeffs] + [Poly.one(p)]
+        cap = n * compute_cf(coeffs, n) + 1
+        mods = [g for g, _ in poly_factor(
+            Poly([a.evaluate(0) for a in fT], p))[1]]
+        assert len(mods) > 1
+        lifted = _hensel_tree(fT, mods, p, cap)
+        assert len(lifted) == len(mods)
+        prod = [Poly.one(p)]
+        for fac, mod in zip(lifted, mods):
+            assert fac[-1] == Poly.one(p)
+            assert Poly([c.evaluate(0) for c in fac], p) == mod
+            prod = _tpoly_mul(prod, fac, p)
+        assert len(prod) == len(fT)
+        for c, want in zip(prod, fT):
+            assert Poly(c.c[:cap], p) == Poly(want.c[:cap], p)
+
+
+def test_inverse_with_zero_top_coordinate():
+    f = ff_cubic()
+    for num in ([[1, 1], [0, 1], []], [[2], [], []], [[0, 1], [], []]):
+        a = f.elem(num)
+        assert a * a.inverse() == f.one()
 
 
 def test_irreducibility_char2_twist_reject():
@@ -161,7 +218,7 @@ def test_json_roundtrip():
 def test_reduce_tpoly_vs_mul():
     # multiplying t^(n-1) by t uses the reduction table
     f = ff_cubic()
-    t = f.gen()
+    t = gen(f)
     tsq = t * t
     cube = tsq * t
     # t^3 = -x*t - x

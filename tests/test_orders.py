@@ -21,8 +21,9 @@ from ffjac.orders import (
     _maximalize_at,
     discriminant_support,
 )
-from ffjac.polymat import _vm, hnf_square, lower_tri_inverse
+from ffjac.polymat import _vm, hnf_square, in_lattice, lower_tri_inverse
 from ffjac.polys import Poly, enumerate_monic_irreducibles, poly_factor
+from helpers import element_of_place, norm, val_ideal
 
 
 def small_fields():
@@ -41,6 +42,12 @@ def small_fields():
 
 def x_poly(p):
     return Poly([0, 1], p)
+
+
+def contains(ideal, c):
+    """Whether the element with order coordinates c lies in the ideal."""
+    num = [e * ideal.den for e in c]
+    return in_lattice(num, ideal.h, ideal.order.p) is not None
 
 
 def test_equation_order_kept_when_possible():
@@ -71,9 +78,9 @@ def test_order_multiplication_matches_field():
             v = [Poly([rng.randrange(p) for _ in range(3)], p)
                  for _ in range(n)]
             w = o.mul_coords(u, v)
-            eu = f.elem(o.to_power(u), o.den)
-            ev = f.elem(o.to_power(v), o.den)
-            ew = f.elem(o.to_power(w), o.den)
+            eu = f.elem(_vm(u, o.basis, p), o.den)
+            ev = f.elem(_vm(v, o.basis, p), o.den)
+            ew = f.elem(_vm(w, o.basis, p), o.den)
             assert eu * ev == ew
 
 
@@ -88,9 +95,9 @@ def test_decomposition_degree_sum():
             for pr in primes:
                 assert pr.is_integral()
                 qone = [e * q for e in o.one_coords]
-                assert pr.contains(qone)
+                assert contains(pr, qone)
                 assert pr.norm_degree() == pr.f * q.deg
-                assert pr.val_ideal(pr) == 1
+                assert val_ideal(pr, pr) == 1
 
 
 def test_known_splitting_shapes():
@@ -175,8 +182,8 @@ def test_ideal_arithmetic_roundtrip():
     px = decompose_prime(o, x_poly(p))[0]
     p1 = decompose_prime(o, Poly([-1, 1], p))[0]
     ideal = ideal_mul(ideal_mul(px.power(2), p1), ideal_one(o))
-    assert px.val_ideal(ideal) == 2
-    assert p1.val_ideal(ideal) == 1
+    assert val_ideal(px, ideal) == 2
+    assert val_ideal(p1, ideal) == 1
     inv = ideal_inv(ideal)
     assert ideal_mul(ideal, inv) == ideal_one(o)
     assert inv.norm_degree() == -ideal.norm_degree()
@@ -209,7 +216,7 @@ def test_principal_ideal_norm_matches_element_norm():
             c = o.from_power(vec)
             assert c is not None
             ideal = principal_ideal(o, c)
-            nrm = f.elem(vec).norm()
+            nrm = norm(f.elem(vec))
             assert nrm.is_poly()
             assert ideal.norm_degree() == nrm.num.deg
 
@@ -220,8 +227,8 @@ def test_prime_power_membership_strict():
     o = maximal_order(f)
     pr = decompose_prime(o, x_poly(p))[0]
     qone = [e * x_poly(p) for e in o.one_coords]
-    assert pr.power(pr.e).contains(qone)
-    assert not pr.power(pr.e + 1).contains(qone)
+    assert contains(pr.power(pr.e), qone)
+    assert not contains(pr.power(pr.e + 1), qone)
     assert pr.power(-1) == ideal_inv(pr)
 
 
@@ -240,7 +247,7 @@ def test_divisor_arithmetic_leaves_context_counters():
     f = small_fields()[0]
     c1, c2 = JacobianCtx(f), JacobianCtx(f)
     pl = finite_places_above(f, x_poly(f.p))[0]
-    x = c1.element_of_place(pl)
+    x = element_of_place(c1, pl)
     c2.add(x, x)
     before = [c.counters.as_dict() for c in (c1, c2)]
     assert before[1]["partial_additions"] > 0

@@ -170,7 +170,7 @@ class TestRatFunc:
 
     def test_arith(self):
         p = 11
-        x = RatFunc.from_poly(Poly.x(p))
+        x = RatFunc(Poly.x(p))
         one = RatFunc.one(p)
         inv_x = x.inverse()
         assert x * inv_x == one

@@ -3,8 +3,9 @@ import random
 from ffjac.field import make_field
 from ffjac.polys import Poly
 from ffjac.divisors import (Divisor, infinite_places, finite_places_above,
-                            find_finite_degree_one_place, principal_divisor)
+                            principal_divisor)
 from ffjac.orders import ideal_inv
+from helpers import find_finite_degree_one_place
 from ffjac.riemann_roch import (_inf_profile, rr_basis, rr_dim, ssrr_reduce,
                                 compute_genus, inf_inverse_ideal)
 
