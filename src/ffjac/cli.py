@@ -148,7 +148,11 @@ def _bench_point(make_field_for_chain, chains: int, length: int, tag: str):
 
 
 def cmd_bench(args, parser):
-    xcol, desc, points = _sweep(args, parser)
+    try:
+        xcol, desc, points = _sweep(args, parser)
+    except (OSError, ValueError) as exc:
+        print("ffjac bench: %s" % exc, file=sys.stderr)
+        return 1
     small = args.preset in ("fig1-small", "fig2-small")
     chains = args.chains if args.chains is not None else (2 if small else 5)
     length = args.chain_length if args.chain_length is not None else (

@@ -13,10 +13,9 @@ from .orders import (
     ideal_inv,
     ideal_mul,
     ideal_one,
-    ideal_pow,
     principal_ideal,
 )
-from .polymat import _vm, in_lattice
+from .polymat import _vm, in_lattice, scalar_rows
 from .polys import Poly, _int_list, poly_gcd
 
 
@@ -172,10 +171,6 @@ class Divisor:
     def __sub__(self, other: "Divisor") -> "Divisor":
         return self + (-other)
 
-    def scale(self, k: int) -> "Divisor":
-        vec = tuple(k * a for a in self.inf_vec)
-        return Divisor(self.field, ideal_pow(self.fin, k), vec)
-
     def finite_height(self) -> int:
         """Sum of |v_P(D)| * deg(P) over the finite places, without factoring.
 
@@ -185,10 +180,9 @@ class Divisor:
         fin = self.fin
         if fin.is_integral():
             return fin.norm_degree()
-        n, den, zero = fin.order.n, fin.den, Poly.zero(fin.order.p)
-        rows = fin.h + [[den if i == j else zero for j in range(n)]
-                        for i in range(n)]
-        return fin.norm_degree() - 2 * Ideal(fin.order, rows, den).norm_degree()
+        plus_o = Ideal(fin.order, fin.h + scalar_rows(fin.den, fin.order.n),
+                       fin.den)
+        return fin.norm_degree() - 2 * plus_o.norm_degree()
 
     # -- serialization -----------------------------------------------------
 

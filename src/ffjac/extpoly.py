@@ -9,7 +9,7 @@ elements support +, - and *. Three rings are used:
   counting places, the Dedekind test, specializations of f);
 - PolyRing: F_p[x], or F_p[x]/(x^cap), for the x-adic Hensel lift, its
   exact trial divisions, and products of power-basis coordinates;
-- RatFuncField: F_p(x), for gcds and inverses over the function field.
+- RatFuncField: F_p(x), for gcds over the function field.
 
 This is the one implementation of polynomial-in-t arithmetic. It runs only
 at field set-up, never in the reduction loop, so plain Python loops are
@@ -225,17 +225,6 @@ def fqp_gcd(ctx, f: list, g: list) -> list:
     while b:
         a, b = b, fqp_mod(ctx, a, b)
     return fqp_monic(ctx, a)
-
-
-def fqp_half_xgcd(ctx, f: list, g: list):
-    """(r, s): r a gcd of f and g, not normalized, and s * f = r mod g."""
-    r0, r1 = list(f), list(g)
-    s0, s1 = [ctx.one()], []
-    while r1:
-        q, r = fqp_divmod(ctx, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, fqp_sub(ctx, s0, fqp_mul(ctx, q, s1))
-    return r0, s0
 
 
 def fqp_powmod(ctx: Fq, f: list, e: int, g: list) -> list:

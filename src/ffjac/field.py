@@ -11,9 +11,8 @@ power basis 1, t, ..., t^{n-1} over K(x) with a cleared denominator.
 from __future__ import annotations
 
 from .extpoly import (PolyRing, RatFuncField, fqp_add, fqp_deg,
-                      fqp_derivative, fqp_divmod, fqp_gcd, fqp_half_xgcd,
-                      fqp_is_irreducible, fqp_mul, fqp_reduce, fqp_sub,
-                      fqp_trim, make_field_ext)
+                      fqp_derivative, fqp_divmod, fqp_gcd, fqp_is_irreducible,
+                      fqp_mul, fqp_reduce, fqp_sub, make_field_ext)
 from .polys import (Poly, RatFunc, _int_list, poly_gcd, poly_is_irreducible,
                     poly_xgcd)
 
@@ -52,6 +51,15 @@ def compute_cf(coeffs, n: int) -> int:
         if need > e:
             e = need
     return e
+
+
+def twist_coeffs(coeffs):
+    """Coefficients of the model at infinity over K[u]: x = 1/u and
+    t = s/u^e with e = compute_cf(coeffs, n)."""
+    n = len(coeffs)
+    e = compute_cf(coeffs, n)
+    return [a if a.is_zero() else a.reverse(a.deg).shift(e * (n - i) - a.deg)
+            for i, a in enumerate(coeffs)]
 
 
 class FunctionField:
@@ -148,28 +156,12 @@ class FunctionField:
 
     # -- twist / infinite model ------------------------------------------
 
-    def twist_coeffs(self):
-        """Coefficients of the model at infinity over K[u]."""
-        e = self.cf
-        n = self.n
-        out = []
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                out.append(a)
-                continue
-            shift = e * (n - i) - a.deg
-            out.append(a.reverse(a.deg).shift(shift))
-        return out
-
     def infinite_model(self) -> "FunctionField":
         if self._inf_model is None:
             self._inf_model = FunctionField(
-                self.twist_coeffs(), self.p, check=False
+                twist_coeffs(self.coeffs), self.p, check=False
             )
         return self._inf_model
-
-    def elem(self, num, den=None) -> "FFElem":
-        return FFElem(self, num, den)
 
     def one(self) -> "FFElem":
         num = [Poly.one(self.p)] + [Poly.zero(self.p)] * (self.n - 1)
@@ -313,30 +305,6 @@ class FFElem:
         conv = fqp_mul(PolyRing(self.field.p), self.num, other.num)
         red = self.field.reduce_tpoly(conv)
         return FFElem(self.field, red, self.den * other.den)
-
-    def inverse(self) -> "FFElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        f = self.field
-        one = Poly.one(f.p)
-        K = RatFuncField(f.p)
-        fc = [RatFunc(a) for a in f.coeffs] + [K.one()]
-        ac = fqp_trim([RatFunc(a) for a in self.num])
-        g, s = fqp_half_xgcd(K, ac, fc)
-        if len(g) != 1:
-            raise ArithmeticError("element not invertible; f reducible?")
-        ginv = g[0].inverse()
-        vals = [c * ginv for c in s]
-        while len(vals) < f.n:
-            vals.append(K.zero())
-        vals = vals[: f.n]
-        den_lcm = one
-        for v in vals:
-            den_lcm = den_lcm.exact_div(poly_gcd(den_lcm, v.den)) * v.den
-        num = [v.num * den_lcm.exact_div(v.den) for v in vals]
-        # self = num_row / den: inverse = den * (num_row)^{-1}
-        num = [c * self.den for c in num]
-        return FFElem(f, num, den_lcm)
 
     def __repr__(self):
         terms = []
@@ -484,14 +452,7 @@ def is_irreducible(coeffs, p: int, _twisted: bool = False) -> bool:
     if good is None and not _twisted:
         # same field presented over K[u]; a monic factorization transfers
         # both ways, and u = 0 is a fresh specialization point
-        e = compute_cf(coeffs, n)
-        tw = []
-        for i, a in enumerate(coeffs):
-            if a.is_zero():
-                tw.append(a)
-            else:
-                tw.append(a.reverse(a.deg).shift(e * (n - i) - a.deg))
-        return is_irreducible(tw, p, _twisted=True)
+        return is_irreducible(twist_coeffs(coeffs), p, _twisted=True)
     if good is None:
         raise ArithmeticError(
             "no squarefree specialization point in F_p; cannot decide"
@@ -505,7 +466,8 @@ def is_irreducible(coeffs, p: int, _twisted: bool = False) -> bool:
     from .polys import poly_factor
 
     lead, facs0 = poly_factor(f0, seed=2)
-    assert lead == 1 and all(m == 1 for _, m in facs0)
+    if lead != 1 or any(m != 1 for _, m in facs0):
+        raise ArithmeticError("specialization is not monic and squarefree")
     mods = [g for g, _ in facs0]
     if len(mods) == 1:
         # specialization irreducible would have been caught above

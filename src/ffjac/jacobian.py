@@ -274,9 +274,6 @@ class JacobianCtx:
         return self._reduce_raw(fin, x.fin, jbase, tuple(vec), 0,
                                 x.fin.norm_degree())
 
-    def sub(self, x: JacElem, y: JacElem) -> JacElem:
-        return self.add(x, self.neg(y))
-
     def scalar_mul(self, k: int, x: JacElem) -> JacElem:
         if k < 0:
             return self.scalar_mul(-k, self.neg(x))

@@ -21,10 +21,10 @@ from .polymat import (
     fp_solve,
     hnf_square,
     in_lattice,
-    left_kernel,
     lower_tri_inverse,
     mat_key,
     mat_mul,
+    scalar_rows,
 )
 from .polys import Poly, poly_factor, poly_gcd
 
@@ -45,6 +45,25 @@ def _content(rows, p: int) -> Poly:
                 if g.is_one():
                     return g
     return g
+
+
+def _hermite(rows, den: Poly, p: int):
+    """Canonical (h, den) for the lattice rowspan(rows) / den: the HNF,
+    with the gcd of its content and den cancelled."""
+    h = hnf_square(rows, p)
+    if not den.is_one():
+        # full cancellation is the common case; test it before the gcd
+        if all((e % den).is_zero() for row in h for e in row):
+            h = [[e.exact_div(den) for e in row] for row in h]
+            den = Poly.one(p)
+        else:
+            g = poly_gcd(_content(h, p), den)
+            if not g.is_one():
+                h = [[e.exact_div(g) for e in row] for row in h]
+                den = den.exact_div(g)
+    if den.lc != 1:
+        raise ArithmeticError("lattice denominator must be monic")
+    return h, den
 
 
 def _vec_mod(v, q: Poly):
@@ -86,13 +105,7 @@ class Order:
 
     def __init__(self, field, rows, den: Poly):
         p = field.p
-        h = hnf_square(rows, p)
-        g = poly_gcd(_content(h, p), den)
-        if not g.is_one():
-            h = [[e.exact_div(g) for e in row] for row in h]
-            den = den.exact_div(g)
-        if den.lc != 1:
-            raise ArithmeticError("order denominator must be monic")
+        h, den = _hermite(rows, den, p)
         self.field = field
         self.basis = h
         self.den = den
@@ -177,25 +190,10 @@ class Ideal:
     __slots__ = ("order", "h", "den", "_key")
 
     def __init__(self, order: Order, rows, den: Poly = None):
-        p = order.p
         if den is None:
-            den = Poly.one(p)
-        h = hnf_square(rows, p)
-        if not den.is_one():
-            # full cancellation is the common case; test it before the gcd
-            if all((e % den).is_zero() for row in h for e in row):
-                h = [[e.exact_div(den) for e in row] for row in h]
-                den = Poly.one(p)
-            else:
-                g = poly_gcd(_content(h, p), den)
-                if not g.is_one():
-                    h = [[e.exact_div(g) for e in row] for row in h]
-                    den = den.exact_div(g)
-        if den.lc != 1:
-            raise ArithmeticError("ideal denominator must be monic")
+            den = Poly.one(order.p)
         self.order = order
-        self.h = h
-        self.den = den
+        self.h, self.den = _hermite(rows, den, order.p)
         self._key = None
 
     def key(self) -> bytes:
@@ -213,12 +211,6 @@ class Ideal:
     def is_integral(self) -> bool:
         return self.den.is_one()
 
-    def det(self) -> Poly:
-        d = self.h[0][0]
-        for j in range(1, self.order.n):
-            d = d * self.h[j][j]
-        return d
-
     def norm_degree(self) -> int:
         s = sum(self.h[j][j].deg for j in range(self.order.n))
         return s - self.order.n * self.den.deg
@@ -229,10 +221,7 @@ class Ideal:
 
 
 def ideal_one(order: Order) -> Ideal:
-    p = order.p
-    rows = [[Poly.one(p) if i == j else Poly.zero(p) for j in range(order.n)]
-            for i in range(order.n)]
-    return Ideal(order, rows)
+    return Ideal(order, scalar_rows(Poly.one(order.p), order.n))
 
 
 def ideal_mul_elem(a: Ideal, c, cden: Poly = None) -> Ideal:
@@ -298,50 +287,30 @@ def ideal_mul(a: Ideal, b: Ideal) -> Ideal:
     return out
 
 
-def ideal_pow(a: Ideal, k: int) -> Ideal:
-    if k < 0:
-        return ideal_pow(ideal_inv(a), -k)
-    out = ideal_one(a.order)
-    base = a
-    while k:
-        if k & 1:
-            out = ideal_mul(out, base)
-        k >>= 1
-        if k:
-            base = ideal_mul(base, base)
-    return out
+def _dual(order: Order, hs, num: Poly) -> Ideal:
+    """The lattice {c : c * v in num * K[x] for every row v of hs}.
 
-
-def _colon_lattice(order: Order, gen_mats, rhs_rows):
-    """HNF basis of {c : c * M ideal-contained in rowspan(rhs_rows) for
-    every multiplication matrix M in gen_mats}."""
-    p, n = order.p, order.n
-    k = len(gen_mats)
-    ncols = n * k
-    zero = Poly.zero(p)
-    big = []
-    for i in range(n):
-        big.append([gen_mats[j][i][l] for j in range(k) for l in range(n)])
-    for j in range(k):
-        for r in range(n):
-            row = [zero] * ncols
-            for l in range(n):
-                row[j * n + l] = rhs_rows[r][l]
-            big.append(row)
-    ker = left_kernel(big, p)
-    return hnf_square([kr[:n] for kr in ker], p)
+    hs is a square HNF; with G * hs = d * Id from lower_tri_inverse this
+    is num * G^T / d.  Every colon ideal is one of these: the inverse,
+    the radical and the multiplier ring each collect their conditions
+    c * v in num * K[x] as the rows v of one HNF.
+    """
+    n = order.n
+    g, d = lower_tri_inverse(hs, order.p)
+    return Ideal(order, [[g[j][i] * num for j in range(n)] for i in range(n)],
+                 d)
 
 
 def ideal_inv(a: Ideal) -> Ideal:
     """Inverse of a fractional ideal of a maximal order.
 
-    Computes the colon lattice {x : x * a inside O} as the dual of the
-    lattice spanned by the columns of the multiplication matrices of the
-    generators of a: one HNF plus a triangular inversion, no kernel
-    computation.  The generators come from _generators, as in ideal_mul:
-    the dual for a pair contains a^-1 and equals it exactly when the
-    HNF's diagonal degrees sum to those of a.h, again by cancellation in
-    the maximal order.  The dual for all n rows is used unchecked.
+    The colon lattice {x : x * a inside O} is the _dual of the HNF of
+    the columns of the multiplication matrices of the generators of a,
+    with num = a.den.  The generators come from _generators, as in
+    ideal_mul: the dual for a pair contains a^-1 and equals it exactly
+    when the HNF's diagonal degrees sum to those of a.h, again by
+    cancellation in the maximal order.  The dual for all n rows is used
+    unchecked.
     """
     order = a.order
     p, n = order.p, order.n
@@ -349,14 +318,11 @@ def ideal_inv(a: Ideal) -> Ideal:
     for gens in _generators(a):
         rows = []
         for g in gens:
-            m = order.elem_mul_matrix(g)
-            rows += [[m[j][i] for j in range(n)] for i in range(n)]
+            rows += zip(*order.elem_mul_matrix(g))  # the columns
         hs = hnf_square(rows, p)
         if sum(hs[j][j].deg for j in range(n)) == target:
             break
-    g, d = lower_tri_inverse(hs, p)
-    L = [[g[j][i] * a.den for j in range(n)] for i in range(n)]
-    return Ideal(order, L, d)
+    return _dual(order, hs, a.den)
 
 
 class PrimeIdeal(Ideal):
@@ -509,37 +475,40 @@ def _pow_coords_mod(order: Order, v, e: int, q: Poly):
 
 
 def _radical_ideal(order: Order, q: Poly) -> Ideal:
-    """q-radical of the order, containing q * O."""
+    """q-radical of the order, {c : c^Q = 0 mod q} for the first power
+    Q of #K[x]/(q) at least n; it contains q * O.  c -> c^Q mod q is
+    linear with rows e_i^Q, so this is the _dual, num = q, of the
+    columns of that matrix under the rows q * e_i."""
     p, n = order.p, order.n
     qp = p ** q.deg
     Q = qp
     while Q < n:
         Q *= qp
-    frob = []
-    for i in range(n):
-        ei = [Poly.one(p) if j == i else Poly.zero(p) for j in range(n)]
-        frob.append(_pow_coords_mod(order, ei, Q, q))
-    stack = list(frob)
-    for i in range(n):
-        stack.append([q if j == i else Poly.zero(p) for j in range(n)])
-    ker = left_kernel(stack, p)
-    return Ideal(order, [row[:n] for row in ker])
+    frob = [_pow_coords_mod(order, ei, Q, q)
+            for ei in scalar_rows(Poly.one(p), n)]
+    return _dual(order, hnf_square(scalar_rows(q, n) + list(zip(*frob)), p),
+                 q)
 
 
 def _maximalize_at(order: Order, q: Poly) -> Order:
+    """Round two at q: replace the order by its multiplier ring
+    {c : c * rad inside q * rad} until they agree.  With G_B * (q * rad)
+    = d_B * Id that ring is the _dual, num = d_B, of the columns of
+    M_w * G_B for the rows w of rad under the rows d_B * e_i."""
     field = order.field
     p, n = order.p, order.n
-    qid_key = mat_key([[q if i == j else Poly.zero(p) for j in range(n)]
-                       for i in range(n)])
+    qid_key = mat_key(scalar_rows(q, n))
     for _ in range(500):
         rad = _radical_ideal(order, q)
-        mats = [order.elem_mul_matrix(w) for w in rad.h]
-        rhs = [[e * q for e in row] for row in rad.h]
-        L = _colon_lattice(order, mats, rhs)
+        gb, db = lower_tri_inverse([[e * q for e in row] for row in rad.h],
+                                   p)
+        rows = scalar_rows(db, n)
+        for w in rad.h:
+            rows += zip(*mat_mul(order.elem_mul_matrix(w), gb, p))
+        L = _dual(order, hnf_square(rows, p), db).h
         if mat_key(L) == qid_key:
             return order
-        rows = mat_mul(L, order.basis, p)
-        order = Order(field, rows, q * order.den)
+        order = Order(field, mat_mul(L, order.basis, p), q * order.den)
     raise ArithmeticError("order enlargement did not stabilize")
 
 
@@ -547,9 +516,7 @@ def maximal_order(field) -> Order:
     p, n = field.p, field.n
     disc = discriminant_support(field)
     _, facs = poly_factor(disc)
-    rows = [[Poly.one(p) if i == j else Poly.zero(p) for j in range(n)]
-            for i in range(n)]
-    order = Order(field, rows, Poly.one(p))
+    order = Order(field, scalar_rows(Poly.one(p), n), Poly.one(p))
     for q, mult in facs:
         if mult < 2:
             continue
@@ -564,7 +531,6 @@ def maximal_order(field) -> Order:
 
 def _decompose_kummer(order: Order, q: Poly):
     field = order.field
-    p = order.p
     ctx = Fq(q)
     _, facs = fqp_factor(ctx, _fbar(field, ctx))
     primes = []
@@ -573,10 +539,7 @@ def _decompose_kummer(order: Order, q: Poly):
         c = order.from_power(vec)
         if c is None:
             raise ArithmeticError("lift left the order")
-        rows = order.elem_mul_matrix(c)
-        for i in range(order.n):
-            rows.append([q if j == i else Poly.zero(p)
-                         for j in range(order.n)])
+        rows = order.elem_mul_matrix(c) + scalar_rows(q, order.n)
         primes.append(PrimeIdeal(order, rows, q, f=fqp_deg(gbar), e=e))
     return primes
 

@@ -1,4 +1,4 @@
-"""Matrices over K[x] (K = F_p): HNF, row reduction, kernels, determinants.
+"""Matrices over K[x] (K = F_p): HNF, row reduction, determinants.
 
 Module bases are stored as rows throughout (lists of rows of Poly): a
 lattice is the K[x]-row-span of its matrix, and _vm is the one
@@ -7,12 +7,14 @@ row_reduce, in_lattice) take and return Poly rows but work in between on
 raw coefficient rows (lists of int64 arrays, see polys), and every row
 operation they make is the one update _sub_scaled, ra -= x^s * q * rb.
 
-_hnf_rows computes H = U*M with U unimodular and H lower echelon, monic
-pivots, and every entry below a pivot (same column) of degree strictly
-less than that pivot, which makes H a canonical representative of the row
-span; hnf_square and left_kernel are built on it. row_reduce makes the
-leading-row-coefficient matrix nonsingular (row reduction), which exposes
-the row degrees that the Riemann-Roch searches compare against.
+_hnf_rows brings M by unimodular row operations to H lower echelon, with
+monic pivots and every entry below a pivot (same column) of degree
+strictly less than that pivot, which makes H a canonical representative
+of the row span; hnf_square is built on it, and lower_tri_inverse turns a
+square HNF into the dual lattice that every colon ideal is computed from
+(see orders._dual). row_reduce makes the leading-row-coefficient matrix
+nonsingular (row reduction), which exposes the row degrees that the
+Riemann-Roch searches compare against.
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ def _vm(v, rows, p: int):
     return out
 
 
+def scalar_rows(c: Poly, n: int):
+    """The n x n matrix c * Id."""
+    zero = Poly.zero(c.p)
+    return [[c if j == i else zero for j in range(n)] for i in range(n)]
+
+
 def mat_mul(a, b, p: int):
     """Raw row-list product."""
     return [_vm(row, b, p) for row in a]
@@ -77,22 +85,17 @@ def _sub_scaled(ra, rb, q, p: int, shift: int = 0):
         ra[j] = _trim(out)
 
 
-def _hnf_rows(rows, p: int, transform: bool = False):
-    """Row HNF core. Returns (H_rows, U_rows or None, pivot_cols).
+def _hnf_rows(rows, p: int):
+    """Row HNF core. Returns (H_rows, pivot_cols).
 
-    H = U * M, H lower echelon: pivot of row k in column pivot_cols[k],
-    zero rows (if any) at the bottom, monic pivots, entries below a pivot
-    in its column reduced mod the pivot.  Inner loops run on raw
-    coefficient arrays; Poly wrappers are restored at the end.
+    H lower echelon: pivot of row k in column pivot_cols[k], zero rows (if
+    any) at the top, monic pivots, entries below a pivot in its column
+    reduced mod the pivot.  Inner loops run on raw coefficient arrays;
+    Poly wrappers are restored at the end.
     """
     work = _arrays(rows)
     m = len(work)
     n = len(work[0])
-    u = None
-    if transform:
-        one = np.ones(1, dtype=np.int64)
-        zero = np.zeros(0, dtype=np.int64)
-        u = [[one if i == j else zero for j in range(m)] for i in range(m)]
 
     # columns right to left, pivot rows assigned bottom up: zero rows end
     # at the top, the echelon block at the bottom is lower triangular
@@ -113,21 +116,15 @@ def _hnf_rows(rows, p: int, transform: bool = False):
                     continue
                 q = _divmod_arr(work[i][j], piv, p)[0]
                 _sub_scaled(work[i], work[best], q, p)
-                if u is not None:
-                    _sub_scaled(u[i], u[best], q, p)
         if not cand:
             continue
         i = cand[0]
         if i != k:
             work[i], work[k] = work[k], work[i]
-            if u is not None:
-                u[i], u[k] = u[k], u[i]
         lc = int(work[k][j][-1])
         if lc != 1:
             inv = _inv_mod(lc, p)
             work[k] = [(e * inv) % p for e in work[k]]
-            if u is not None:
-                u[k] = [(e * inv) % p for e in u[k]]
         pivots.append((k, j))
         k -= 1
 
@@ -145,30 +142,18 @@ def _hnf_rows(rows, p: int, transform: bool = False):
                 continue
             q = _divmod_arr(e, piv, p)[0]
             _sub_scaled(work[r], work[rs], q, p)
-            if u is not None:
-                _sub_scaled(u[r], u[rs], q, p)
 
-    return _polys(work, p), None if u is None else _polys(u, p), pivots
+    return _polys(work, p), pivots
 
 
 def hnf_square(rows, p: int):
     """HNF of a lattice spanned by rows with full column rank n; returns the
-    nonsingular n x n top block."""
-    h, _, pivots = _hnf_rows(rows, p, transform=False)
+    nonsingular n x n bottom block."""
+    h, pivots = _hnf_rows(rows, p)
     n = len(rows[0])
     if [j for _, j in pivots] != list(range(n)):
         raise ArithmeticError("lattice does not have full column rank")
     return h[len(h) - n:]
-
-
-def left_kernel(rows, p: int):
-    """Basis rows of {v : v * M = 0}, a saturated K[x]-module."""
-    h, u, _ = _hnf_rows(rows, p, transform=True)
-    out = []
-    for i, row in enumerate(h):
-        if all(e.is_zero() for e in row):
-            out.append(u[i])
-    return out
 
 
 def _leading_matrix(work, degs):
@@ -327,10 +312,7 @@ def lower_tri_inverse(rows, p: int):
     d = Poly.one(p)
     for i in range(n):
         d = d * rows[i][i]
-    zero = Poly.zero(p)
-    g = [in_lattice([d if j == i else zero for j in range(n)], rows, p)
-         for i in range(n)]
-    return g, d
+    return [in_lattice(v, rows, p) for v in scalar_rows(d, n)], d
 
 
 def in_lattice(v, h_rows, p: int):

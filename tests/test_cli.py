@@ -260,3 +260,21 @@ def test_reduce_rejects_malformed_field_files(tmp_path, capsys, monkeypatch):
         assert len(lines) == 1 and lines[0].startswith("ffjac reduce: "), \
             (path, out.err)
         assert why in lines[0], (path, lines[0])
+
+
+def test_bench_rejects_bad_field_files(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"p": 5}))
+    cases = [(tmp_path / "missing.json", "No such file"),
+             (bad, "needs p, n and coeffs")]
+    for path, why in cases:
+        rc = main(["bench", "--fields", str(path),
+                   "--out", str(tmp_path / "out.dat")])
+        out = capsys.readouterr()
+        assert rc == 1, path
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ffjac bench: "), \
+            (path, out.err)
+        assert why in lines[0], (path, lines[0])
+    assert not (tmp_path / "out.dat").exists()

@@ -6,7 +6,8 @@ from ffjac.field import make_field, FFElem
 from ffjac.polys import Poly
 from ffjac.divisors import (Divisor, infinite_places, finite_places_above,
                             principal_divisor, infinite_valuations)
-from helpers import find_finite_degree_one_place, finite_support
+from helpers import (find_finite_degree_one_place, finite_support, inverse,
+                     scale)
 
 p5 = 5
 
@@ -58,7 +59,7 @@ def test_principal_divisor_is_multiplicative():
         left = principal_divisor(field, a * b)
         right = principal_divisor(field, a) + principal_divisor(field, b)
         assert left == right
-        assert principal_divisor(field, a.inverse()) == -principal_divisor(field, a)
+        assert principal_divisor(field, inverse(a)) == -principal_divisor(field, a)
 
 
 def test_divisor_group_operations():
@@ -67,7 +68,7 @@ def test_divisor_group_operations():
     Q = find_finite_degree_one_place(field)
     D = Divisor.from_place(P, 3) - Divisor.from_place(Q, 2)
     assert D + (-D) == Divisor.zero(field)
-    assert D.scale(2) == D + D
+    assert scale(D, 2) == D + D
     assert (D - D).degree() == 0
     assert D.degree() == 3 * P.degree() - 2 * Q.degree()
 
@@ -120,7 +121,7 @@ def test_finite_height_matches_support():
         for _ in range(4):
             a = principal_divisor(field, random_elem(field, rng))
             b = principal_divisor(field, random_elem(field, rng))
-            for div in (a, -a, a - b.scale(2), Divisor.zero(field)):
+            for div in (a, -a, a - scale(b, 2), Divisor.zero(field)):
                 want = sum(abs(v) * pl.degree()
                            for pl, v in finite_support(div))
                 assert div.finite_height() == want

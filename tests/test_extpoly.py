@@ -11,7 +11,6 @@ from ffjac.extpoly import (
     fqp_divmod,
     fqp_factor,
     fqp_gcd,
-    fqp_half_xgcd,
     fqp_is_irreducible,
     fqp_monic,
     fqp_mul,
@@ -19,6 +18,7 @@ from ffjac.extpoly import (
     make_field_ext,
 )
 from ffjac.polys import Poly, RatFunc
+from helpers import half_xgcd
 
 
 def test_fq_field_ops():
@@ -149,7 +149,7 @@ def test_half_xgcd_bezout_over_fq():
         f, g = rand_fqp(ctx, rng, 5), rand_fqp(ctx, rng, 4)
         if not g:
             continue
-        r, s = fqp_half_xgcd(ctx, f, g)
+        r, s = half_xgcd(ctx, f, g)
         assert fqp_monic(ctx, r) == fqp_gcd(ctx, f, g)
         assert fqp_divmod(ctx, fqp_sub(ctx, fqp_mul(ctx, s, f), r), g)[1] == []
 
@@ -163,7 +163,7 @@ def test_rational_function_coefficients():
     f = fqp_mul(K, lin, [x.inverse(), K.one()])
     g = fqp_mul(K, lin, [x, K.zero(), K.one()])
     assert fqp_gcd(K, f, g) == lin
-    r, s = fqp_half_xgcd(K, f, g)
+    r, s = half_xgcd(K, f, g)
     assert fqp_monic(K, r) == lin
     assert fqp_divmod(K, fqp_sub(K, fqp_mul(K, s, f), r), g)[1] == []
 

@@ -1,9 +1,12 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 from ffjac.divisors import Divisor, finite_places_above
-from ffjac.field import make_field
+from ffjac.field import FFElem, make_field
+from ffjac.fieldgen import read_field
 from ffjac.jacobian import JacobianCtx
 from ffjac import orders
 from ffjac.orders import (
@@ -19,11 +22,14 @@ from ffjac.orders import (
     _decompose_radical_split,
     _dedekind_q_maximal,
     _maximalize_at,
+    _pow_coords_mod,
+    _radical_ideal,
     discriminant_support,
 )
-from ffjac.polymat import _vm, hnf_square, in_lattice, lower_tri_inverse
+from ffjac.polymat import (_vm, hnf_square, in_lattice, lower_tri_inverse,
+                           scalar_rows)
 from ffjac.polys import Poly, enumerate_monic_irreducibles, poly_factor
-from helpers import element_of_place, norm, val_ideal
+from helpers import element_of_place, norm, scale, val_ideal
 
 
 def small_fields():
@@ -78,9 +84,9 @@ def test_order_multiplication_matches_field():
             v = [Poly([rng.randrange(p) for _ in range(3)], p)
                  for _ in range(n)]
             w = o.mul_coords(u, v)
-            eu = f.elem(_vm(u, o.basis, p), o.den)
-            ev = f.elem(_vm(v, o.basis, p), o.den)
-            ew = f.elem(_vm(w, o.basis, p), o.den)
+            eu = FFElem(f, _vm(u, o.basis, p), o.den)
+            ev = FFElem(f, _vm(v, o.basis, p), o.den)
+            ew = FFElem(f, _vm(w, o.basis, p), o.den)
             assert eu * ev == ew
 
 
@@ -216,7 +222,7 @@ def test_principal_ideal_norm_matches_element_norm():
             c = o.from_power(vec)
             assert c is not None
             ideal = principal_ideal(o, c)
-            nrm = norm(f.elem(vec))
+            nrm = norm(FFElem(f, vec))
             assert nrm.is_poly()
             assert ideal.norm_degree() == nrm.num.deg
 
@@ -252,7 +258,7 @@ def test_divisor_arithmetic_leaves_context_counters():
     before = [c.counters.as_dict() for c in (c1, c2)]
     assert before[1]["partial_additions"] > 0
     d = Divisor.from_place(pl, 2) + Divisor.from_place(pl)
-    assert (d - Divisor.from_place(pl).scale(3)).degree() == 0
+    assert (d - scale(Divisor.from_place(pl), 3)).degree() == 0
     assert [c.counters.as_dict() for c in (c1, c2)] == before
 
 
@@ -407,3 +413,85 @@ def test_product_by_element_matches_principal_product():
             assert got.key() == ref_mul(b, principal_ideal(o, c, den)).key()
     with pytest.raises(ZeroDivisionError):
         ideal_mul_elem(ideal_one(o), [Poly.zero(p)] * n)
+
+
+PERFBENCH_FIELDS = Path(__file__).resolve().parents[1] / "perfbench" / "fields"
+
+# first 32 hex digits of the sha256 of Order.key() for the finite and the
+# infinite maximal order, recorded when the radical and the multiplier ring
+# were still computed as left kernels
+ORDER_DIGESTS = {
+    "add-chain-g28": ("55e5144c23914dabb0b61eb05db47acd",
+                      "55e5144c23914dabb0b61eb05db47acd"),
+    "add-chain-n6": ("28201219de80f3d03c49769cfef73ebf",
+                     "21d61e3c8e4074360209230a9c504f51"),
+    "reduce-q7-g3": ("55e5144c23914dabb0b61eb05db47acd",
+                     "e8c6714bd2f09d9b5cdeb1e0585e31c8"),
+    "small0": ("2ce67c62b394cb61083e1838eec26035",
+               "2ce67c62b394cb61083e1838eec26035"),
+    "small1": ("0169d2ef28ed2971231ea472381efbf7",
+               "2ce67c62b394cb61083e1838eec26035"),
+    "small2": ("55e5144c23914dabb0b61eb05db47acd",
+               "e8c6714bd2f09d9b5cdeb1e0585e31c8"),
+    "small3": ("2ce67c62b394cb61083e1838eec26035",
+               "2ce67c62b394cb61083e1838eec26035"),
+}
+
+
+def pinned_fields():
+    out = [(path.stem, read_field(path)[0])
+           for path in sorted(PERFBENCH_FIELDS.glob("*.json"))]
+    return out + [("small%d" % i, f) for i, f in enumerate(small_fields())]
+
+
+def test_maximal_order_keys_pinned():
+    fields = pinned_fields()
+    assert sorted(name for name, _ in fields) == sorted(ORDER_DIGESTS)
+    for name, f in fields:
+        got = tuple(hashlib.sha256(o.key()).hexdigest()[:32]
+                    for o in (f.finite_order(), f.infinite_order()))
+        assert got == ORDER_DIGESTS[name], name
+
+
+def equation_order(field):
+    """K[x][t]/(f), the order that maximal_order starts from."""
+    return orders.Order(field, scalar_rows(Poly.one(field.p), field.n),
+                        Poly.one(field.p))
+
+
+def test_round_two_radicals_and_enlargements():
+    """maximal_order's loop, checked at every prime where it enlarges: the
+    radical contains q * O and its rows are nilpotent mod q, and each
+    enlarged order contains the one before and has a multiplication
+    table."""
+    seen = []
+    for name, f in pinned_fields():
+        for model in (f, f.infinite_model()):
+            p, n = model.p, model.n
+            order = equation_order(model)
+            for q, mult in poly_factor(discriminant_support(model))[1]:
+                if mult < 2 or _dedekind_q_maximal(model, q):
+                    continue
+                seen.append(name)
+                rad = _radical_ideal(order, q)
+                assert any(rad.h[j][j].deg > 0 for j in range(n))
+                for row in scalar_rows(q, n):
+                    assert contains(rad, row)
+                Q = p ** q.deg
+                while Q < n:
+                    Q *= p ** q.deg
+                for row in rad.h:
+                    power = _pow_coords_mod(order, row, Q, q)
+                    assert all(e.is_zero() for e in power), (name, q)
+                bigger = _maximalize_at(order, q)
+                # row / order.den in bigger: row * bigger.den lies in the
+                # span of bigger.basis * order.den
+                span = [[e * order.den for e in row] for row in bigger.basis]
+                for row in order.basis:
+                    num = [e * bigger.den for e in row]
+                    assert in_lattice(num, span, p) is not None, (name, q)
+                bigger.table()
+                order = bigger
+            assert order.key() == maximal_order(model).key()
+    assert "add-chain-n6" in seen and "small1" in seen
+
