@@ -1,15 +1,15 @@
 """Polynomials in t over a coefficient ring, and factoring over GF(p^d).
 
 A polynomial in t is a list of coefficients, lowest degree first, with no
-trailing zeros. Every fqp_* function takes the coefficient ring first;
-a ring provides zero(), one(), reduce(a), mul(a, b) and inv(a), and its
-elements support +, - and *. Three rings are used:
+trailing zeros. Every fqp_* function takes the coefficient ring first,
+and the ring's elements support +, - and *. Two rings are used:
 
 - Fq: GF(p^d) = F_p[z]/(m), for residue fields (splitting primes,
-  counting places, the Dedekind test, specializations of f);
-- PolyRing: F_p[x], or F_p[x]/(x^cap), for the x-adic Hensel lift, its
-  exact trial divisions, and products of power-basis coordinates;
-- RatFuncField: F_p(x), for gcds over the function field.
+  counting places, the Dedekind test); it provides zero(), one(),
+  reduce(a), mul(a, b) and inv(a);
+- PolyRing: F_p[x], for products and differences of power-basis
+  coordinates; it provides only the zero() and reduce(a) that fqp_mul
+  and fqp_sub call.
 
 This is the one implementation of polynomial-in-t arithmetic. It runs only
 at field set-up, never in the reduction loop, so plain Python loops are
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from .polys import Poly, RatFunc, _inv_mod
+from .polys import Poly, poly_xgcd
 
 
 class Fq:
@@ -54,8 +54,6 @@ class Fq:
     def inv(self, a: Poly) -> Poly:
         if a.is_zero():
             raise ZeroDivisionError("inverse of zero in GF(q)")
-        from .polys import poly_xgcd
-
         g, s, _ = poly_xgcd(a % self.modulus, self.modulus)
         if g.deg != 0:
             raise ArithmeticError("modulus not irreducible")
@@ -79,57 +77,18 @@ class Fq:
 
 
 class PolyRing:
-    """F_p[x], or F_p[x]/(x^cap) when cap is given."""
-
-    __slots__ = ("p", "cap")
-
-    def __init__(self, p: int, cap: int = None):
-        self.p = p
-        self.cap = cap
-
-    def zero(self) -> Poly:
-        return Poly.zero(self.p)
-
-    def one(self) -> Poly:
-        return Poly.one(self.p)
-
-    def reduce(self, a: Poly) -> Poly:
-        if self.cap is None or a.deg < self.cap:
-            return a
-        return Poly(a.c[: self.cap], self.p)
-
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        return self.reduce(a * b)
-
-    def inv(self, a: Poly) -> Poly:
-        # nonzero constants only: every divisor here is monic in t
-        if a.deg != 0:
-            raise ArithmeticError("only nonzero constants are inverted")
-        return Poly.const(_inv_mod(a.lc, self.p), self.p)
-
-
-class RatFuncField:
-    """F_p(x) over RatFunc."""
+    """F_p[x], as the coefficient ring of fqp_mul and fqp_sub."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
         self.p = p
 
-    def zero(self) -> RatFunc:
-        return RatFunc.zero(self.p)
+    def zero(self) -> Poly:
+        return Poly.zero(self.p)
 
-    def one(self) -> RatFunc:
-        return RatFunc.one(self.p)
-
-    def reduce(self, a: RatFunc) -> RatFunc:
+    def reduce(self, a: Poly) -> Poly:
         return a
-
-    def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        return a * b
-
-    def inv(self, a: RatFunc) -> RatFunc:
-        return a.inverse()
 
 
 def fqp_trim(f: list) -> list:
@@ -363,51 +322,3 @@ def fqp_factor(ctx: Fq, f: list, seed: int = 1) -> list:
                 out.append((irr, m))
     out.sort(key=lambda fm: (fqp_deg(fm[0]), [e.coeffs for e in fm[0]]))
     return lead, out
-
-
-def fqp_is_irreducible(ctx: Fq, f: list) -> bool:
-    """Rabin test over GF(q)."""
-    n = fqp_deg(f)
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    f = fqp_monic(ctx, f)
-    q = ctx.order
-    t = [ctx.zero(), ctx.one()]
-    # t^(q^n) == t mod f, and gcd checks at maximal proper divisors n/r
-    h = list(t)
-    for _ in range(n):
-        h = fqp_powmod(ctx, h, q, f)
-    if fqp_sub(ctx, h, t):
-        return False
-    r = 2
-    m = n
-    primes = []
-    while r * r <= m:
-        if m % r == 0:
-            primes.append(r)
-            while m % r == 0:
-                m //= r
-        r += 1
-    if m > 1:
-        primes.append(m)
-    for r in primes:
-        h = list(t)
-        for _ in range(n // r):
-            h = fqp_powmod(ctx, h, q, f)
-        g = fqp_gcd(ctx, fqp_sub(ctx, h, t), f)
-        if fqp_deg(g) != 0:
-            return False
-    return True
-
-
-def make_field_ext(p: int, d: int) -> Fq:
-    """GF(p^d) with a deterministic choice of modulus."""
-    if d == 1:
-        return Fq(Poly.x(p))
-    from .polys import enumerate_monic_irreducibles
-
-    for m in enumerate_monic_irreducibles(p, d):
-        return Fq(m)
-    raise ArithmeticError("no irreducible modulus found")

@@ -10,11 +10,8 @@ power basis 1, t, ..., t^{n-1} over K(x) with a cleared denominator.
 
 from __future__ import annotations
 
-from .extpoly import (PolyRing, RatFuncField, fqp_add, fqp_deg,
-                      fqp_derivative, fqp_divmod, fqp_gcd, fqp_is_irreducible,
-                      fqp_mul, fqp_reduce, fqp_sub, make_field_ext)
-from .polys import (Poly, RatFunc, _int_list, poly_gcd, poly_is_irreducible,
-                    poly_xgcd)
+from .extpoly import PolyRing, fqp_mul
+from .polys import Poly, _int_list, _inv_mod, poly_gcd
 
 
 def _is_prime(m: int) -> bool:
@@ -63,7 +60,18 @@ def twist_coeffs(coeffs):
 
 
 class FunctionField:
-    """K(x)[t]/(f) with f = t^n + sum coeffs[i] * t^i."""
+    """K(x)[t]/(f) with f = t^n + sum coeffs[i] * t^i.
+
+    With check (the default) f is accepted only when its discriminant is
+    nonzero, so f is separable, and dim L(0) = 1. L(0) is the field of
+    constants of K(x)[t]/(f): a factorization of f puts two idempotents
+    into it and a constant field F_(p^k) has dimension k. So dim L(0) = 1
+    says that f is irreducible with exact constant field F_p, which is
+    what genus, places and reduction assume. Otherwise ValueError is
+    raised. The check builds both maximal orders and the infinite places,
+    which stay cached for every later step. infinite_model passes
+    check=False: it presents the same field.
+    """
 
     __slots__ = (
         "p",
@@ -90,8 +98,6 @@ class FunctionField:
         for c in coeffs:
             if c.p != p:
                 raise ValueError("coefficient field mismatch")
-        if check and not is_irreducible(coeffs, p):
-            raise ValueError("defining polynomial is reducible")
         self.p = p
         self.n = n
         self.coeffs = coeffs
@@ -102,6 +108,21 @@ class FunctionField:
         self._inf_order = None
         self._genus = None
         self._inf_places = None
+        if check:
+            self._check_constant_field()
+
+    def _check_constant_field(self):
+        from .divisors import Divisor
+        from .orders import discriminant_support
+        from .riemann_roch import rr_dim
+
+        try:
+            discriminant_support(self)
+        except ArithmeticError:
+            raise ValueError("defining polynomial is not separable") from None
+        if rr_dim(self, Divisor.zero(self)) != 1:
+            raise ValueError("defining polynomial is reducible or its "
+                             "constant field is larger than F_%d" % self.p)
 
     # -- basic structure ------------------------------------------------
 
@@ -206,7 +227,7 @@ class FunctionField:
         }
 
     @staticmethod
-    def from_dict(d: dict, check: bool = True) -> "FunctionField":
+    def from_dict(d: dict) -> "FunctionField":
         """Inverse of to_dict; raises ValueError on malformed input."""
         try:
             p, n, coeffs = d["p"], d["n"], d["coeffs"]
@@ -218,14 +239,15 @@ class FunctionField:
                              "of integer lists")
         if len(coeffs) != n:
             raise ValueError("coefficient count does not match degree")
-        return FunctionField(coeffs, p, check=check)
+        return FunctionField(coeffs, p)
 
-def make_field(p: int, n: int, coeffs, check: bool = True) -> FunctionField:
+
+def make_field(p: int, n: int, coeffs) -> FunctionField:
     """Validated construction from integer coefficient lists or Polys."""
     coeffs = [c if isinstance(c, Poly) else Poly(c, p) for c in coeffs]
     if len(coeffs) != n:
         raise ValueError("expected %d coefficients, got %d" % (n, len(coeffs)))
-    return FunctionField(coeffs, p, check=check)
+    return FunctionField(coeffs, p)
 
 
 class FFElem:
@@ -254,8 +276,6 @@ class FFElem:
             den = den.exact_div(g)
         lc = den.lc
         if lc != 1:
-            from .polys import _inv_mod
-
             inv = _inv_mod(lc, p)
             num = [c.scale(inv) for c in num]
             den = den.scale(inv)
@@ -314,196 +334,3 @@ class FFElem:
             terms.append("(%s)t^%d" % (c, i))
         body = " + ".join(terms) if terms else "0"
         return "FFElem((%s) / (%s))" % (body, self.den)
-
-
-# -- irreducibility ---------------------------------------------------------
-
-
-def _const_tpoly(f: Poly, p: int):
-    """f in F_p[t] as a polynomial in t with constant F_p[x] coefficients."""
-    return [Poly.const(int(c), p) for c in f.c]
-
-
-def _hensel_tree(fT, facs, p, cap):
-    """Lift the pairwise-coprime monic factorization of fT mod x to x^cap."""
-    if len(facs) == 1:
-        return [fqp_reduce(PolyRing(p, cap), fT)]
-    half = len(facs) // 2
-    left, right = facs[:half], facs[half:]
-    g0 = Poly.one(p)
-    for q in left:
-        g0 = g0 * q
-    h0 = Poly.one(p)
-    for q in right:
-        h0 = h0 * q
-    g, h = _hensel_pair(fT, g0, h0, p, cap)
-    return _hensel_tree(g, left, p, cap) + _hensel_tree(h, right, p, cap)
-
-
-def _hensel_pair(fT, g0, h0, p, cap):
-    """One coprime pair lifted x-adically from mod x to mod x^cap."""
-    gcdv, s0, t0 = poly_xgcd(g0, h0)
-    if gcdv.deg != 0:
-        raise ArithmeticError("modular factors not coprime")
-    g, h, s, t = (_const_tpoly(f, p) for f in (g0, h0, s0, t0))
-    m = 1
-    while m < cap:
-        m2 = min(2 * m, cap)
-        R = PolyRing(p, m2)
-        e = fqp_sub(R, fqp_reduce(R, fT), fqp_mul(R, g, h))
-        if e:
-            q, r = fqp_divmod(R, fqp_mul(R, s, e), h)
-            g = fqp_add(R, fqp_add(R, g, fqp_mul(R, t, e)), fqp_mul(R, q, g))
-            h = fqp_add(R, h, r)
-        b = fqp_sub(R, fqp_add(R, fqp_mul(R, s, g), fqp_mul(R, t, h)),
-                    [R.one()])
-        if b:
-            c, d = fqp_divmod(R, fqp_mul(R, s, b), h)
-            s = fqp_sub(R, s, d)
-            t = fqp_sub(R, fqp_sub(R, t, fqp_mul(R, t, b)), fqp_mul(R, c, g))
-        m = m2
-    if not g or g[-1] != Poly.one(p):
-        raise ArithmeticError("lift lost monicity")
-    return g, h
-
-
-def _field_gcd_t(coeffs_full, p):
-    """t-degree of gcd(f, df/dt) over K(x), for f with df/dt nonzero."""
-    df = [RatFunc(c) for c in fqp_derivative(PolyRing(p), coeffs_full)]
-    f = [RatFunc(c) for c in coeffs_full]
-    return fqp_deg(fqp_gcd(RatFuncField(p), f, df))
-
-
-def is_irreducible(coeffs, p: int, _twisted: bool = False) -> bool:
-    """Whether t^n + sum coeffs[i] t^i is irreducible over F_p(x).
-
-    Fast path: an irreducible specialization at some point of F_p or a
-    small extension proves irreducibility. Decisive path: lift the
-    factorization at a squarefree specialization point x-adically and
-    test every recombination of the lifted factors by exact division.
-    When no squarefree point exists in F_p the same test runs once on
-    the model at infinity, which adds the point over u = 0; only if that
-    model has no squarefree rational point either does this raise
-    ArithmeticError (possible only for tiny p).
-    """
-    coeffs = tuple(c if isinstance(c, Poly) else Poly(c, p) for c in coeffs)
-    n = len(coeffs)
-    if n == 0:
-        raise ValueError("constant polynomial")
-    if n == 1:
-        return True
-
-    # derivative in t identically zero: f = h(t^p)
-    if n % p == 0 and all(coeffs[i].is_zero() for i in range(n) if i % p):
-        h = [coeffs[i] for i in range(0, n, p)]
-        # f reducible iff h reducible or every coefficient of h is a p-th
-        # power in K = F_p(x), i.e. only exponents divisible by p occur
-        all_pth = True
-        for c in h:
-            if any(int(v) and (k % p) for k, v in enumerate(c.c)):
-                all_pth = False
-                break
-        if all_pth:
-            return False
-        return is_irreducible(h, p)
-
-    full = list(coeffs) + [Poly.one(p)]
-    gdeg = _field_gcd_t(full, p)
-    if gdeg >= 1:
-        return False  # not squarefree over K(x), so a proper square factor
-
-    def spec(c):
-        return Poly([a.evaluate(c) for a in coeffs] + [1], p)
-
-    # fast accept at rational points
-    pts = list(range(min(p, 40)))
-    if p > 40:
-        step = p // 40
-        pts.extend(range(40, p, max(step, 1)))
-        pts = pts[:80]
-    good = None
-    for c in pts:
-        fc = spec(c)
-        if poly_is_irreducible(fc):
-            return True
-        if poly_gcd(fc, fc.derivative()).deg == 0:
-            if good is None:
-                good = c
-    if good is None:
-        for c in range(p):
-            fc = spec(c)
-            if poly_gcd(fc, fc.derivative()).deg == 0:
-                good = c
-                break
-    if good is None and p <= 16:
-        # fast accept at small extension points before giving up
-        for d in (2, 3, 4):
-            ctx = make_field_ext(p, d)
-            for trial in range(ctx.order):
-                v = trial
-                cc = []
-                for _ in range(d):
-                    cc.append(v % p)
-                    v //= p
-                pt = Poly(cc, p)
-                fc = [_horner_ext(ctx, a, pt) for a in coeffs] + [ctx.one()]
-                if fqp_is_irreducible(ctx, fc):
-                    return True
-    if good is None and not _twisted:
-        # same field presented over K[u]; a monic factorization transfers
-        # both ways, and u = 0 is a fresh specialization point
-        return is_irreducible(twist_coeffs(coeffs), p, _twisted=True)
-    if good is None:
-        raise ArithmeticError(
-            "no squarefree specialization point in F_p; cannot decide"
-        )
-
-    # decisive: shift so the good point is x = 0, lift, recombine
-    shifted = [_taylor_shift(a, good) for a in coeffs]
-    cf = compute_cf(coeffs, n)
-    cap = n * cf + 1
-    f0 = Poly([a.evaluate(0) for a in shifted] + [1], p)
-    from .polys import poly_factor
-
-    lead, facs0 = poly_factor(f0, seed=2)
-    if lead != 1 or any(m != 1 for _, m in facs0):
-        raise ArithmeticError("specialization is not monic and squarefree")
-    mods = [g for g, _ in facs0]
-    if len(mods) == 1:
-        # specialization irreducible would have been caught above
-        return True
-
-    fT = list(shifted) + [Poly.one(p)]
-    lifted = _hensel_tree(fT, mods, p, cap)
-    r = len(lifted)
-    from itertools import combinations
-
-    truncated, exact = PolyRing(p, cap), PolyRing(p)
-    for size in range(1, r // 2 + 1):
-        for picks in combinations(range(r), size):
-            cand = [Poly.one(p)]
-            for i in picks:
-                cand = fqp_mul(truncated, cand, lifted[i])
-            # exact bivariate trial division, no truncation
-            if not fqp_divmod(exact, fT, cand)[1]:
-                return False
-    return True
-
-
-def _taylor_shift(a: Poly, c: int) -> Poly:
-    """a(x + c) by Horner over F_p."""
-    if c == 0 or a.is_zero():
-        return a
-    p = a.p
-    x_plus = Poly([c % p, 1], p)
-    acc = Poly.zero(p)
-    for v in a.c[::-1]:
-        acc = acc * x_plus + Poly.const(int(v), p)
-    return acc
-
-
-def _horner_ext(ctx, a: Poly, pt: Poly) -> Poly:
-    acc = ctx.zero()
-    for v in a.c[::-1]:
-        acc = ctx.reduce(acc * pt + Poly.const(int(v), ctx.p))
-    return acc

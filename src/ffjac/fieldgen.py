@@ -42,10 +42,11 @@ def gen_structured(p: int, n: int, cf: int, seed=0, tries: int = 400,
 
     That degree pattern forces twist degree cf, two degree-one infinite
     places, and generically genus (cf*n - 2)(n - 1)/2.  Retries with
-    fresh coefficients until the defining polynomial is irreducible and
-    the infinite places come out right.  A genus below the prediction
-    (possible over tiny constant fields) is warned about, or rejected
-    when exact_genus is set.
+    fresh coefficients until FunctionField accepts the polynomial
+    (separable, irreducible, constant field F_p) and the infinite places
+    come out right.  A genus below the prediction (possible over tiny
+    constant fields) is warned about, or rejected when exact_genus is
+    set.
     """
     if n < 2 or cf < 1:
         raise ValueError("need n >= 2 and cf >= 1")
@@ -81,8 +82,10 @@ def gen_random(p: int, n: int, cf_max: int, seed=0, genus=None,
                tries: int = 4000) -> FunctionField:
     """Random monic model with twist degree at most cf_max.
 
-    Rejects candidates that are reducible, lack a degree-one infinite
-    place, or (when genus is given) do not hit that exact genus.
+    Rejects candidates that FunctionField rejects (inseparable,
+    reducible, or with constant field larger than F_p), that lack a
+    degree-one infinite place, or (when genus is given) that do not hit
+    that exact genus.
     """
     if n < 2 or cf_max < 1:
         raise ValueError("need n >= 2 and cf_max >= 1")

@@ -113,10 +113,6 @@ class Poly:
         return _mk(np.ones(1, dtype=np.int64), p)
 
     @staticmethod
-    def const(v: int, p: int) -> "Poly":
-        return Poly([v], p)
-
-    @staticmethod
     def x(p: int) -> "Poly":
         return Poly([0, 1], p)
 
@@ -237,15 +233,6 @@ class Poly:
             return _mk(_ZERO, self.p)
         k = np.arange(1, len(self.c), dtype=np.int64)
         return _mk(_trim((self.c[1:] * k) % self.p), self.p)
-
-    def evaluate(self, v: int) -> int:
-        """Horner evaluation at an element of F_p."""
-        acc = 0
-        p = self.p
-        v %= p
-        for coef in self.c[::-1]:
-            acc = (acc * v + int(coef)) % p
-        return acc
 
     def reverse(self, n: int) -> "Poly":
         """x^n * f(1/x); n must be at least deg(f)."""
@@ -504,91 +491,3 @@ def enumerate_monic_irreducibles(p: int, d: int):
         f = _mk(c, p)
         if d == 1 or poly_is_irreducible(f):
             yield f
-
-
-class RatFunc:
-    """Rational function num/den over F_p, canonical: den monic, coprime."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = None, reduce: bool = True):
-        if den is None:
-            den = Poly.one(num.p)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if reduce:
-            if num.is_zero():
-                den = Poly.one(num.p)
-            else:
-                g = poly_gcd(num, den)
-                if g.deg > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-                if den.lc != 1:
-                    inv = _inv_mod(den.lc, den.p)
-                    num = num.scale(inv)
-                    den = den.scale(inv)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def zero(p: int) -> "RatFunc":
-        return RatFunc(Poly.zero(p), Poly.one(p), reduce=False)
-
-    @staticmethod
-    def one(p: int) -> "RatFunc":
-        return RatFunc(Poly.one(p), Poly.one(p), reduce=False)
-
-    @property
-    def p(self) -> int:
-        return self.num.p
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den.is_one()
-
-    @property
-    def deg(self) -> int:
-        """Degree as a rational function: deg(num) - deg(den); -inf style -1 slot
-        is avoided, callers guard the zero case."""
-        return self.num.deg - self.den.deg
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den, reduce=False)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def inverse(self) -> "RatFunc":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc(self.den, self.num)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatFunc)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        if self.is_poly():
-            return "RatFunc(%s)" % poly_str(self.num)
-        return "RatFunc((%s)/(%s))" % (poly_str(self.num), poly_str(self.den))
-

@@ -5,21 +5,26 @@ checks the library against an independent computation.
 """
 
 from ffjac.divisors import Divisor, Place, finite_places_above
-from ffjac.extpoly import (RatFuncField, fqp_divmod, fqp_mul, fqp_sub,
-                           fqp_trim)
+from ffjac.extpoly import fqp_divmod, fqp_mul, fqp_sub
 from ffjac.field import FFElem
 from ffjac.orders import (_q_multiplicity, decompose_prime, ideal_inv,
                           ideal_mul, ideal_one)
 from ffjac.polymat import bareiss_det
-from ffjac.polys import Poly, RatFunc, poly_factor, poly_gcd
+from ffjac.polys import Poly, poly_factor
 
 
-def norm(a) -> RatFunc:
-    """N(a) as the determinant of multiplication by a on the power basis."""
+def _mul_matrix(a):
+    """Rows t^j * num(a) in power-basis coordinates, j = 0 .. n-1."""
     f = a.field
-    rows = [f.reduce_tpoly([Poly.zero(f.p)] * j + list(a.num))
+    return [f.reduce_tpoly([Poly.zero(f.p)] * j + list(a.num))
             for j in range(f.n)]
-    return RatFunc(bareiss_det(rows, f.p), a.den ** f.n)
+
+
+def norm(a):
+    """N(a) as the pair (numerator, denominator): the determinant of
+    multiplication by num(a) on the power basis, and den(a)^n."""
+    f = a.field
+    return bareiss_det(_mul_matrix(a), f.p), a.den ** f.n
 
 
 def half_xgcd(ctx, f: list, g: list):
@@ -34,23 +39,19 @@ def half_xgcd(ctx, f: list, g: list):
 
 
 def inverse(a) -> FFElem:
-    """1 / a from a Bezout relation s * num(a) = r mod f over F_p(x)."""
+    """1 / a = sum c_j t^j from c * M = den(a) * e_0, M the matrix of
+    multiplication by num(a), solved by Cramer's rule."""
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero")
     f = a.field
-    K = RatFuncField(f.p)
-    fc = [RatFunc(c) for c in f.coeffs] + [K.one()]
-    r, s = half_xgcd(K, fqp_trim([RatFunc(c) for c in a.num]), fc)
-    if len(r) != 1:
+    rows = _mul_matrix(a)
+    det = bareiss_det(rows, f.p)
+    if det.is_zero():
         raise ArithmeticError("element not invertible; f reducible?")
-    vals = [c * r[0].inverse() for c in s]
-    vals = (vals + [K.zero()] * f.n)[:f.n]
-    den = Poly.one(f.p)
-    for v in vals:
-        den = den.exact_div(poly_gcd(den, v.den)) * v.den
-    # a = num_row / a.den, so 1 / a = a.den * (num_row)^-1
-    return FFElem(f, [v.num * den.exact_div(v.den) * a.den for v in vals],
-                  den)
+    e0 = [Poly.one(f.p)] + [Poly.zero(f.p)] * (f.n - 1)
+    num = [a.den * bareiss_det(rows[:j] + [e0] + rows[j + 1:], f.p)
+           for j in range(f.n)]
+    return FFElem(f, num, det)
 
 
 def ideal_pow(a, k: int):

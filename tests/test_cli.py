@@ -226,6 +226,14 @@ def test_reduce_rejects_malformed_divisors(tmp_path, capsys, monkeypatch):
         assert why in lines[0], (text, lines[0])
 
 
+# Well-formed field files whose polynomial the field check rejects.
+REJECTED_FIELDS = [
+    ({"p": 2, "n": 2, "coeffs": [[0, 1], []]}, "not separable"),
+    ({"p": 2, "n": 3, "coeffs": [[], [1, 1], [0, 1]]}, "reducible"),
+    ({"p": 5, "n": 2, "coeffs": [[3], []]}, "constant field"),
+]
+
+
 def test_reduce_rejects_malformed_field_files(tmp_path, capsys, monkeypatch):
     import io
     field_path = gen_one(tmp_path)
@@ -240,7 +248,7 @@ def test_reduce_rejects_malformed_field_files(tmp_path, capsys, monkeypatch):
         ([1, 2, 3], "needs p, n and coeffs"),
         (dict(good, coeffs=good["coeffs"][:2]), "coefficient count"),
         (dict(good, p=4), "p must be a prime"),
-    ]
+    ] + REJECTED_FIELDS
     paths = []
     for i, (d, why) in enumerate(cases):
         path = tmp_path / ("bad%d.json" % i)
@@ -267,6 +275,10 @@ def test_bench_rejects_bad_field_files(tmp_path, capsys):
     bad.write_text(json.dumps({"p": 5}))
     cases = [(tmp_path / "missing.json", "No such file"),
              (bad, "needs p, n and coeffs")]
+    for i, (d, why) in enumerate(REJECTED_FIELDS):
+        path = tmp_path / ("rejected%d.json" % i)
+        path.write_text(json.dumps(d))
+        cases.append((path, why))
     for path, why in cases:
         rc = main(["bench", "--fields", str(path),
                    "--out", str(tmp_path / "out.dat")])

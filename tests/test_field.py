@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from ffjac.field import (FFElem, FunctionField, _hensel_tree, _taylor_shift,
-                         compute_cf, is_irreducible, make_field,
+from ffjac.extpoly import PolyRing, fqp_mul
+from ffjac.field import (FFElem, FunctionField, compute_cf, make_field,
                          twist_coeffs)
-from ffjac.polys import Poly, RatFunc, poly_factor, poly_gcd
+from ffjac.polys import Poly, enumerate_monic_irreducibles
 from helpers import inverse, norm
 
 
@@ -90,15 +90,15 @@ def test_elem_inverse_and_norm_multiplicative():
         )
         if b.is_zero():
             continue
-        na, nb, nab = norm(a), norm(b), norm(a * b)
-        assert na * nb == nab
+        (na, da), (nb, db), (nab, dab) = norm(a), norm(b), norm(a * b)
+        assert na * nb * dab == nab * da * db
 
 
 def test_norm_of_generator():
     # N(t) = (-1)^n * a_0
     f = ff_cubic()
     t = gen(f)
-    assert norm(t) == RatFunc(Poly([0, -1 % 5], 5))
+    assert norm(t) == (Poly([0, -1 % 5], 5), Poly.one(5))
 
 
 def test_minimal_poly_identity():
@@ -111,69 +111,23 @@ def test_minimal_poly_identity():
 
 
 def test_irreducibility_fast_accept():
-    # x-Eisenstein cubic accepts by specialization quickly
-    assert is_irreducible([Poly([0, 1], 5), Poly([0, 1], 5), Poly.zero(5)], 5)
+    # x-Eisenstein cubic
+    make_field(5, 3, [[0, 1], [0, 1], []])
 
 
 def test_irreducibility_hensel_reject():
-    # (t^2 - x)(t^2 - x - 1) over F_5: every specialization is reducible,
-    # so only the lifting path can decide
+    # (t^2 - x)(t^2 - x - 1) over F_5: every specialization is reducible
     p = 5
     a0 = Poly([0, 1], p) * Poly([1, 1], p)  # x(x+1)
-    a2 = Poly([-1 % p, -2 % p], p)  # -(2x + 1)
-    assert not is_irreducible([a0, Poly.zero(p), a2, Poly.zero(p)], p)
+    with pytest.raises(ValueError):
+        make_field(p, 4, [a0, [], [-1 % p, -2 % p], []])
 
 
 def test_irreducibility_hensel_accept_no_fast_path():
     # minimal polynomial of sqrt(x) + sqrt(x+1): group without an n-cycle,
     # so no specialization anywhere is irreducible, yet f is irreducible
     p = 5
-    a2 = Poly([(-2) % p, (-4) % p], p)  # -2(2x+1)
-    a0 = Poly([1], p)
-    assert is_irreducible([a0, Poly.zero(p), a2, Poly.zero(p)], p)
-
-
-def _squarefree_point(coeffs, p):
-    for c in range(p):
-        fc = Poly([a.evaluate(c) for a in coeffs] + [1], p)
-        if poly_gcd(fc, fc.derivative()).deg == 0:
-            return c
-
-
-def _tpoly_mul(f, g, p):
-    out = [Poly.zero(p)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def test_hensel_lift_factors_are_monic_and_multiply_to_f():
-    # the polynomials of the two test_irreducibility_hensel_* tests
-    p = 5
-    a0 = Poly([0, 1], p) * Poly([1, 1], p)
-    cases = [[a0, Poly.zero(p), Poly([-1 % p, -2 % p], p), Poly.zero(p)],
-             [Poly([1], p), Poly.zero(p), Poly([-2 % p, -4 % p], p),
-              Poly.zero(p)]]
-    for coeffs in cases:
-        n = len(coeffs)
-        # the lift runs at a squarefree specialization, shifted to x = 0
-        good = _squarefree_point(coeffs, p)
-        fT = [_taylor_shift(a, good) for a in coeffs] + [Poly.one(p)]
-        cap = n * compute_cf(coeffs, n) + 1
-        mods = [g for g, _ in poly_factor(
-            Poly([a.evaluate(0) for a in fT], p))[1]]
-        assert len(mods) > 1
-        lifted = _hensel_tree(fT, mods, p, cap)
-        assert len(lifted) == len(mods)
-        prod = [Poly.one(p)]
-        for fac, mod in zip(lifted, mods):
-            assert fac[-1] == Poly.one(p)
-            assert Poly([c.evaluate(0) for c in fac], p) == mod
-            prod = _tpoly_mul(prod, fac, p)
-        assert len(prod) == len(fT)
-        for c, want in zip(prod, fT):
-            assert Poly(c.c[:cap], p) == Poly(want.c[:cap], p)
+    make_field(p, 4, [[1], [], [-2 % p, -4 % p], []])
 
 
 def test_inverse_with_zero_top_coordinate():
@@ -184,28 +138,65 @@ def test_inverse_with_zero_top_coordinate():
 
 
 def test_irreducibility_char2_twist_reject():
-    # (t + x)(t + x^2) over F_2: both rational specializations are squares,
-    # but the model at infinity has a squarefree point over u = 0
-    p = 2
-    a1 = Poly([0, 1, 1], p)  # x^2 + x
-    a0 = Poly([0, 0, 0, 1], p)  # x^3
-    assert not is_irreducible([a0, a1], p)
+    # (t + x)(t + x^2) over F_2: both rational specializations are squares
+    with pytest.raises(ValueError):
+        make_field(2, 2, [[0, 0, 0, 1], [0, 1, 1]])
 
 
 def test_irreducibility_extension_accept():
-    # t^2 + (x^2+x) t + x over F_2: no squarefree rational specialization,
-    # accepted at a point of GF(4)
-    p = 2
-    a1 = Poly([0, 1, 1], p)
-    a0 = Poly([0, 1], p)
-    assert is_irreducible([a0, a1], p)
+    # t^2 + (x^2+x) t + x over F_2: no squarefree rational
+    # specialization, irreducible at a point of GF(4)
+    make_field(2, 2, [[0, 1], [0, 1, 1]])
 
 
 def test_irreducibility_inseparable_shapes():
-    # t^2 - x over F_2 is irreducible (x is not a square in F_2(x))
-    assert is_irreducible([Poly([0, -1 % 2], 2), Poly.zero(2)], 2)
+    # t^2 - x over F_2 is irreducible but not separable
+    with pytest.raises(ValueError, match="not separable"):
+        make_field(2, 2, [[0, 1], []])
     # t^2 - x^2 over F_2 is a square
-    assert not is_irreducible([Poly([0, 0, 1], 2), Poly.zero(2)], 2)
+    with pytest.raises(ValueError, match="not separable"):
+        make_field(2, 2, [[0, 0, 1], []])
+
+
+def _rand_poly(rng, p, deg):
+    return Poly([rng.randrange(p) for _ in range(deg + 1)], p)
+
+
+def _monic(rng, p, n, deg):
+    """Monic in t of degree n, coefficients of degree <= deg in x."""
+    return [_rand_poly(rng, p, deg) for _ in range(n)] + [Poly.one(p)]
+
+
+def test_acceptance_on_polynomials_of_known_shape():
+    rng = random.Random(8)
+    for _ in range(10):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.choice((2, 3, 4))
+        x = Poly.x(p)
+        # x-Eisenstein with a_1 != 0: irreducible and separable, and x is
+        # totally ramified with residue field F_p
+        units = [Poly([rng.randrange(1, p)], p) + x * _rand_poly(rng, p, 1)
+                 for _ in range(2)]
+        coeffs = [x * u for u in units]
+        coeffs += [x * _rand_poly(rng, p, 1) for _ in range(2, n)]
+        assert make_field(p, n, coeffs).n == n
+        # a product of two monic factors
+        k = rng.randrange(1, n)
+        f = fqp_mul(PolyRing(p), _monic(rng, p, k, 2),
+                    _monic(rng, p, n - k, 2))
+        with pytest.raises(ValueError):
+            make_field(p, n, f[:-1])
+        # an irreducible with constant coefficients: constant field F_(p^n)
+        g = rng.choice(list(enumerate_monic_irreducibles(p, n)))
+        with pytest.raises(ValueError, match="constant field"):
+            make_field(p, n, [[int(c)] for c in g.c[:-1]])
+        # h(t^p) has zero derivative
+        m = rng.choice((1, 2))
+        h = _monic(rng, p, m, 2)
+        f = [Poly.zero(p)] * (p * m + 1)
+        f[::p] = h
+        with pytest.raises(ValueError, match="not separable"):
+            make_field(p, p * m, f[:-1])
 
 
 def test_json_roundtrip():
