@@ -68,9 +68,9 @@ class FunctionField:
     into it and a constant field F_(p^k) has dimension k. So dim L(0) = 1
     says that f is irreducible with exact constant field F_p, which is
     what genus, places and reduction assume. Otherwise ValueError is
-    raised. The check builds both maximal orders and the infinite places,
-    which stay cached for every later step. infinite_model passes
-    check=False: it presents the same field.
+    raised. The check computes the discriminant and builds both maximal
+    orders and the infinite places, which stay cached for every later
+    step. infinite_model passes check=False: it presents the same field.
     """
 
     __slots__ = (
@@ -84,6 +84,7 @@ class FunctionField:
         "_inf_order",
         "_genus",
         "_inf_places",
+        "_disc",
     )
 
     def __init__(self, coeffs, p: int, check: bool = True):
@@ -108,16 +109,16 @@ class FunctionField:
         self._inf_order = None
         self._genus = None
         self._inf_places = None
+        self._disc = None
         if check:
             self._check_constant_field()
 
     def _check_constant_field(self):
         from .divisors import Divisor
-        from .orders import discriminant_support
         from .riemann_roch import rr_dim
 
         try:
-            discriminant_support(self)
+            self.discriminant()
         except ArithmeticError:
             raise ValueError("defining polynomial is not separable") from None
         if rr_dim(self, Divisor.zero(self)) != 1:
@@ -125,6 +126,15 @@ class FunctionField:
                              "constant field is larger than F_%d" % self.p)
 
     # -- basic structure ------------------------------------------------
+
+    def discriminant(self) -> Poly:
+        """orders.discriminant_support of f, computed once; ArithmeticError
+        when f is inseparable."""
+        if self._disc is None:
+            from .orders import discriminant_support
+
+            self._disc = discriminant_support(self)
+        return self._disc
 
     def key(self) -> bytes:
         parts = [b"%d,%d:" % (self.p, self.n)]

@@ -101,7 +101,7 @@ class Order:
     """
 
     __slots__ = ("field", "basis", "den", "one_coords", "_table", "_decomp",
-                 "_key", "_tri")
+                 "_radicals", "_key", "_tri")
 
     def __init__(self, field, rows, den: Poly):
         p = field.p
@@ -116,6 +116,8 @@ class Order:
         self.one_coords = one
         self._table = None
         self._decomp = {}
+        # q-radicals left by round two, until decomposition above q reads them
+        self._radicals = {}
         self._key = None
         self._tri = None
 
@@ -494,7 +496,8 @@ def _maximalize_at(order: Order, q: Poly) -> Order:
     """Round two at q: replace the order by its multiplier ring
     {c : c * rad inside q * rad} until they agree.  With G_B * (q * rad)
     = d_B * Id that ring is the _dual, num = d_B, of the columns of
-    M_w * G_B for the rows w of rad under the rows d_B * e_i."""
+    M_w * G_B for the rows w of rad under the rows d_B * e_i.  The
+    returned order keeps its q-radical for _decompose_radical_split."""
     field = order.field
     p, n = order.p, order.n
     qid_key = mat_key(scalar_rows(q, n))
@@ -507,6 +510,7 @@ def _maximalize_at(order: Order, q: Poly) -> Order:
             rows += zip(*mat_mul(order.elem_mul_matrix(w), gb, p))
         L = _dual(order, hnf_square(rows, p), db).h
         if mat_key(L) == qid_key:
+            order._radicals[q.key()] = rad
             return order
         order = Order(field, mat_mul(L, order.basis, p), q * order.den)
     raise ArithmeticError("order enlargement did not stabilize")
@@ -514,8 +518,7 @@ def _maximalize_at(order: Order, q: Poly) -> Order:
 
 def maximal_order(field) -> Order:
     p, n = field.p, field.n
-    disc = discriminant_support(field)
-    _, facs = poly_factor(disc)
+    _, facs = poly_factor(field.discriminant())
     order = Order(field, scalar_rows(Poly.one(p), n), Poly.one(p))
     for q, mult in facs:
         if mult < 2:
@@ -548,7 +551,9 @@ def _decompose_radical_split(order: Order, q: Poly):
     """Primes above q through the semisimple quotient O / rad(qO)."""
     p, n = order.p, order.n
     d = q.deg
-    rad = _radical_ideal(order, q)
+    rad = order._radicals.pop(q.key(), None)
+    if rad is None:
+        rad = _radical_ideal(order, q)
     h = rad.h
     qpos = [j for j in range(n) if h[j][j].deg > 0]
     if not qpos:

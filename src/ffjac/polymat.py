@@ -222,19 +222,21 @@ def fp_kernel(a: np.ndarray, p: int):
 def row_reduce(rows, p: int, companion=None, threshold=None):
     """Row reduction: make the leading-row-coefficient matrix nonsingular.
 
-    Operates in place on copies; returns (work, degs, companion, hit) where
-    hit is the index of a row whose degree reached threshold (short circuit,
-    reduction left unfinished), or None. Row degree is the max entry degree.
-    Requires a nonsingular square input; a vanishing row raises.
+    Operates in place on copies; returns (work, degs, companion, hit, steps)
+    where hit is the index of a row whose degree reached threshold (short
+    circuit, reduction left unfinished), or None, and steps is the number of
+    row updates made. Row degree is the max entry degree. Requires a
+    nonsingular square input; a vanishing row raises.
     """
     work = _arrays(rows)
     comp = None if companion is None else _arrays(companion)
     m = len(work)
     degs = [max(e.size for e in row) - 1 for row in work]
+    steps = 0
 
     def done(hit):
         return (_polys(work, p), degs,
-                None if comp is None else _polys(comp, p), hit)
+                None if comp is None else _polys(comp, p), hit, steps)
 
     def check(i):
         return threshold is not None and degs[i] <= threshold
@@ -274,6 +276,7 @@ def row_reduce(rows, p: int, companion=None, threshold=None):
         if nd < 0:
             raise ArithmeticError("row vanished in row_reduce; input singular")
         degs[tgt] = nd
+        steps += 1
         if check(tgt):
             return done(tgt)
 

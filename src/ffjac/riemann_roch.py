@@ -8,6 +8,16 @@ polynomial matrix T assembled from the two integral bases: no pole at
 u = 0 of the infinite coordinates is a numerator-versus-denominator
 degree comparison, and common polynomial factors cannot disturb it.  Row
 reduction of T with a companion matrix then yields dimension and basis.
+
+The finite rows R enter only through c * R, so any basis of the same
+K[x]-module serves.  The companion U * R of a reduction, U unimodular, is
+such a basis, and it is already close to reduced against a neighbouring
+infinite profile: ssrr_reduce returns it so that a search over the
+shifts D + m*A of one reduction can start each query where the last one
+stopped (Hess, JSC 33, 2002: one reduced finite basis describes
+L(D + m*A) for every m).  Whether the space is zero does not depend on
+the start, and where it has dimension one neither does the normalized
+function found; the reduction in jacobian reads a function only there.
 """
 
 from .divisors import Divisor, infinite_places
@@ -59,25 +69,21 @@ def _inf_profile(field, jinv: Ideal):
     return vmat, tau_inf
 
 
-def _lattice_data(field, iinv: Ideal, jinv: Ideal, profile=None):
+def finite_basis(field, iinv: Ideal):
+    """(rows, den): the finite module of iinv as rows over the power basis
+    with their common denominator, the cold start of every search on it."""
     o = field.finite_order()
-    p = field.p
-    if profile is None:
-        profile = _inf_profile(field, jinv)
-    vmat, tau_inf = profile
-    uy = mat_mul(iinv.h, o.basis, p)
-    den_u = iinv.den * o.den
-    that = mat_mul(uy, vmat, p)
-    tau = tau_inf + den_u.deg
-    return uy, den_u, that, tau
+    return mat_mul(iinv.h, o.basis, field.p), iinv.den * o.den
 
 
 def rr_basis(field, divisor: Divisor):
     """(dim L(D), basis as field elements)."""
-    iinv = ideal_inv(divisor.fin)
-    jinv = inf_inverse_ideal(field, divisor.inf_vec)
-    uy, den_u, that, tau = _lattice_data(field, iinv, jinv)
-    _, degs, comp, _ = row_reduce(that, field.p, companion=uy)
+    rows, den_u = finite_basis(field, ideal_inv(divisor.fin))
+    vmat, tau_inf = _inf_profile(field,
+                                 inf_inverse_ideal(field, divisor.inf_vec))
+    tau = tau_inf + den_u.deg
+    _, degs, comp, _, _ = row_reduce(mat_mul(rows, vmat, field.p), field.p,
+                                     companion=rows)
     dim = 0
     basis = []
     for j, d in enumerate(degs):
@@ -94,26 +100,35 @@ def rr_dim(field, divisor: Divisor) -> int:
     return rr_basis(field, divisor)[0]
 
 
-def ssrr_reduce(field, iinv: Ideal, profile):
+def ssrr_reduce(field, basis, profile):
     """Shortcut search for one nonzero function of the lattice pair.
 
-    Stops the reduction at the first row meeting the degree bound and
-    returns the matching element with a deterministic normalization, or
-    None when the space is zero.
+    basis is (rows, den), any basis of the finite module (finite_basis or
+    a basis this function returned for the same module); profile is the
+    _inf_profile of the infinite module. Stops the reduction at the first
+    row meeting the degree bound. Returns (element, reduced basis, steps):
+    the matching element with a deterministic normalization, or None when
+    the space is zero; the basis as reduced so far, which spans the same
+    finite module and is the warm start of the next search on it; and the
+    number of row_reduce steps made.
     """
-    uy, den_u, that, tau = _lattice_data(field, iinv, None, profile)
-    _, degs, comp, hit = row_reduce(that, field.p, companion=uy,
-                                    threshold=tau)
+    rows, den_u = basis
+    vmat, tau_inf = profile
+    p = field.p
+    _, _, comp, hit, steps = row_reduce(mat_mul(rows, vmat, p), p,
+                                        companion=rows,
+                                        threshold=tau_inf + den_u.deg)
+    basis = (comp, den_u)
     if hit is None:
-        return None
+        return None, basis, steps
     num = comp[hit]
     for c in num:
         if not c.is_zero():
-            sc = _inv_mod(c.lc, field.p)
+            sc = _inv_mod(c.lc, p)
             if sc != 1:
                 num = [e.scale(sc) for e in num]
             break
-    return FFElem(field, num, den_u)
+    return FFElem(field, num, den_u), basis, steps
 
 
 def compute_genus(field) -> int:

@@ -11,6 +11,7 @@ from ffjac.divisors import (Divisor, infinite_places, finite_places_above,
 import ffjac.jacobian
 from ffjac.jacobian import JacobianCtx
 from helpers import element_of_place
+from test_divisors import small_fields
 
 
 def elliptic5():
@@ -118,7 +119,21 @@ def test_strategy_and_caching_equivalence():
     assert all(ng == negs[0] for ng in negs[1:])
 
 
-def test_typical_addition_counters():
+def record_ssrr_steps(monkeypatch):
+    """List that receives the row_reduce steps of every shortcut search."""
+    steps = []
+    search = ffjac.jacobian.ssrr_reduce
+
+    def recorded(*args):
+        out = search(*args)
+        steps.append(out[2])
+        return out
+
+    monkeypatch.setattr(ffjac.jacobian, "ssrr_reduce", recorded)
+    return steps
+
+
+def test_typical_addition_counters(monkeypatch):
     field = genus4_field()
     g = 4
     lin = JacobianCtx(field, strategy="linear")
@@ -127,22 +142,74 @@ def test_typical_addition_counters():
     rng = random.Random(42)
     xs = [random_class(lin, pool, rng) for _ in range(10)]
     full = [x for x in xs if x.r == g]
-    checked = 0
+    steps = record_ssrr_steps(monkeypatch)
+    lin_steps, bin_steps = [], []
     for a, b in itertools.combinations(full, 2):
         lin.counters.reset()
+        del steps[:]
         s = lin.add(a, b)
         if s.r != g:
             continue
         assert lin.counters.ssrr_calls == 2
         assert lin.counters.heights == [3 * g + 1, 3 * g]
+        assert lin.counters.row_reduce_steps == sum(steps)
+        # the second query starts from the basis the first one reduced
+        assert steps[1] < steps[0]
+        lin_steps.append(list(steps))
         bino.counters.reset()
+        del steps[:]
         s2 = bino.add(a, b)
         assert s2 == s
         assert bino.counters.ssrr_calls == math.ceil(math.log2(g + 1))
-        checked += 1
-        if checked >= 3:
+        assert bino.counters.row_reduce_steps == sum(steps)
+        bin_steps.append(list(steps))
+        if len(lin_steps) >= 3:
             break
-    assert checked >= 1
+    assert lin_steps == [[12, 0], [12, 0], [12, 1]]
+    # binary queries all start cold
+    assert bin_steps == [[14, 12, 11], [15, 12, 11], [13, 12, 9]]
+    bino.counters.reset()
+    assert bino.counters.as_dict()["row_reduce_steps"] == 0
+
+
+def test_warm_start_answers_as_a_cold_start(monkeypatch):
+    """A query may start from the basis an earlier query of the same
+    reduction left; its answer must be the one a cold start on the same
+    finite module and profile gives: both None or the same normalized
+    function."""
+    search = ffjac.jacobian.ssrr_reduce
+    start = ffjac.jacobian.finite_basis
+    cold = []
+    compared = {"cold": 0, "warm": 0}
+
+    def cold_start(field, iinv):
+        cold[:] = [start(field, iinv)]
+        return cold[0]
+
+    def checked(field, basis, profile):
+        out = search(field, basis, profile)
+        ref = search(field, cold[0], profile)[0]
+        if ref is None:
+            assert out[0] is None
+        else:
+            assert out[0] is not None
+            assert out[0].num == ref.num and out[0].den == ref.den
+        compared["cold" if basis is cold[0] else "warm"] += 1
+        return out
+
+    monkeypatch.setattr(ffjac.jacobian, "finite_basis", cold_start)
+    monkeypatch.setattr(ffjac.jacobian, "ssrr_reduce", checked)
+    for field in small_fields() + [genus4_field()]:
+        pool = place_pool(field)
+        for strategy in ("linear", "binary"):
+            ctx = JacobianCtx(field, strategy=strategy)
+            rng = random.Random(13)
+            xs = [random_class(ctx, pool, rng) for _ in range(3)]
+            for a, b in itertools.combinations(xs, 2):
+                ctx.add(a, b)
+            ctx.neg(xs[0])
+    # cold first queries and warm later ones were both compared
+    assert compared["cold"] > 0 and compared["warm"] > 0
 
 
 def test_worst_case_call_bound():

@@ -152,9 +152,12 @@ def test_row_reduce_degrees_sum_to_det_degree():
             d = bareiss_det(m, p)
             if d.is_zero():
                 continue
-            work, degs, _, hit = row_reduce(m, p)
+            start = sum(max(e.deg for e in row) for row in m)
+            work, degs, _, hit, steps = row_reduce(m, p)
             assert hit is None
             assert sum(degs) == d.deg
+            # every step lowers one row degree by at least one
+            assert steps <= start - d.deg
             # leading matrix nonsingular means no further drop possible
             lead = _leading_matrix([[e.c for e in row] for row in work], degs)
             assert len(fp_kernel(lead, p)) == 0
@@ -166,7 +169,7 @@ def test_row_reduce_preserves_row_span():
     m = rand_matrix(rng, p, 3, 3)
     while bareiss_det(m, p).is_zero():
         m = rand_matrix(rng, p, 3, 3)
-    work, _, _, _ = row_reduce(m, p)
+    work = row_reduce(m, p)[0]
     assert hnf_square(m, p) == hnf_square(work, p)
 
 
@@ -176,7 +179,7 @@ def test_row_reduce_companion_tracks_ops():
         m = rand_matrix(rng, p, 3, 3, dmax=5)
         while bareiss_det(m, p).is_zero():
             m = rand_matrix(rng, p, 3, 3, dmax=5)
-        work, _, comp, _ = row_reduce(m, p, companion=identity(3, p))
+        work, _, comp, _, _ = row_reduce(m, p, companion=identity(3, p))
         # comp * m == work
         assert mat_mul(comp, m, p) == work
 
@@ -186,9 +189,10 @@ def test_row_reduce_threshold_short_circuit():
     x = Poly.x(p)
     one = Poly.one(p)
     rows = [[x ** 6, one], [one, x ** 5]]
-    work, degs, _, hit = row_reduce(rows, p, threshold=5)
+    work, degs, _, hit, steps = row_reduce(rows, p, threshold=5)
     assert hit is not None
     assert degs[hit] <= 5
+    assert steps == 0
 
 
 def test_lower_tri_inverse():

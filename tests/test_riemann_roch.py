@@ -6,8 +6,8 @@ from ffjac.divisors import (Divisor, infinite_places, finite_places_above,
                             principal_divisor)
 from ffjac.orders import ideal_inv
 from helpers import find_finite_degree_one_place
-from ffjac.riemann_roch import (_inf_profile, rr_basis, rr_dim, ssrr_reduce,
-                                compute_genus, inf_inverse_ideal)
+from ffjac.riemann_roch import (_inf_profile, finite_basis, rr_basis, rr_dim,
+                                ssrr_reduce, compute_genus, inf_inverse_ideal)
 
 
 def elliptic5():
@@ -92,21 +92,38 @@ def test_shortcut_search_agrees_with_dimension():
     # one profile per infinite part, reused across finite parts as the
     # context's profile memo does
     profiles = {}
-    for a in range(-2, 4):
-        for b in range(-2, 2):
+    warm_starts = 0
+    for b in range(-2, 2):
+        # the search over a starts from the basis the previous one left
+        basis = None
+        for a in range(-2, 4):
             D = Divisor.from_place(P, a) + Divisor.from_place(Q, b)
             iinv = ideal_inv(D.fin)
             jinv = inf_inverse_ideal(field, D.inf_vec)
             prof = profiles.setdefault(jinv.key(), _inf_profile(field, jinv))
-            el = ssrr_reduce(field, iinv, prof)
-            again = ssrr_reduce(field, iinv, _inf_profile(field, jinv))
-            if rr_dim(field, D) == 0:
+            cold = finite_basis(field, iinv)
+            el, reduced, _ = ssrr_reduce(field, cold, prof)
+            again, _, _ = ssrr_reduce(field, cold, _inf_profile(field, jinv))
+            dim = rr_dim(field, D)
+            if dim == 0:
                 assert el is None and again is None
             else:
                 assert el is not None
                 assert el.num == again.num and el.den == again.den
                 assert (principal_divisor(field, el) + D).is_effective()
+            assert reduced[1] == cold[1]
+            if basis is not None:
+                # reduced against a different divisor's profile, same iinv
+                warm, _, _ = ssrr_reduce(field, basis, prof)
+                assert (warm is None) == (dim == 0)
+                if warm is not None:
+                    assert (principal_divisor(field, warm) + D).is_effective()
+                if dim == 1:
+                    assert warm.num == el.num and warm.den == el.den
+                    warm_starts += 1
+            basis = reduced
     assert len(profiles) == 6
+    assert warm_starts > 0
 
 
 def test_dimension_monotone_under_growth():
