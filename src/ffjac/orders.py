@@ -26,7 +26,8 @@ from .polymat import (
     mat_mul,
     scalar_rows,
 )
-from .polys import Poly, poly_factor, poly_gcd
+from .polys import (Poly, poly_factor, poly_gcd,
+                    poly_squarefree_decomposition)
 
 
 def _matmul_mod(a, b, p: int):
@@ -47,10 +48,11 @@ def _content(rows, p: int) -> Poly:
     return g
 
 
-def _hermite(rows, den: Poly, p: int):
+def _hermite(rows, den: Poly, p: int, mod: Poly = None):
     """Canonical (h, den) for the lattice rowspan(rows) / den: the HNF,
-    with the gcd of its content and den cancelled."""
-    h = hnf_square(rows, p)
+    with the gcd of its content and den cancelled.  mod, if given, is a
+    polynomial D with D * K[x]^n inside rowspan(rows) (see hnf_square)."""
+    h = hnf_square(rows, p, mod)
     if not den.is_one():
         # full cancellation is the common case; test it before the gcd
         if all((e % den).is_zero() for row in h for e in row):
@@ -187,15 +189,19 @@ class Order:
 
 
 class Ideal:
-    """Fractional ideal (1/den) * rowspan(h) in order coordinates."""
+    """Fractional ideal (1/den) * rowspan(h) in order coordinates.
+
+    mod, if given, is a polynomial D with D * O inside rowspan(rows); the
+    HNF is then computed modulo D (see polymat.hnf_square)."""
 
     __slots__ = ("order", "h", "den", "_key")
 
-    def __init__(self, order: Order, rows, den: Poly = None):
+    def __init__(self, order: Order, rows, den: Poly = None,
+                 mod: Poly = None):
         if den is None:
             den = Poly.one(order.p)
         self.order = order
-        self.h, self.den = _hermite(rows, den, order.p)
+        self.h, self.den = _hermite(rows, den, order.p, mod)
         self._key = None
 
     def key(self) -> bytes:
@@ -274,16 +280,23 @@ def ideal_mul(a: Ideal, b: Ideal) -> Ideal:
     norm degrees add up; that is cancellation in a Dedekind domain and
     needs both factors to be ideals of the maximal order.  The n^2-row
     product is returned unchecked.
+
+    Every list starts with the minimum alpha_a = a.h[0][0] of the
+    numerator of a, and alpha_b = b.h[0][0] lies in the numerator of b,
+    so the span of every stack contains alpha_a * alpha_b * O, which is
+    D * K[x]^n in order coordinates for D = alpha_a * alpha_b: its HNF is
+    computed modulo D.
     """
     order = a.order
     p = order.p
     target = a.norm_degree() + b.norm_degree()
+    mod = a.h[0][0] * b.h[0][0]
     for gens in _generators(a):
         rows = []
         for g in gens:
             m = order.elem_mul_matrix(g)
             rows += [_vm(w, m, p) for w in b.h]
-        out = Ideal(order, rows, a.den * b.den)
+        out = Ideal(order, rows, a.den * b.den, mod)
         if out.norm_degree() == target:
             break
     return out
@@ -313,15 +326,21 @@ def ideal_inv(a: Ideal) -> Ideal:
     when the HNF's diagonal degrees sum to those of a.h, again by
     cancellation in the maximal order.  The dual for all n rows is used
     unchecked.
+
+    Every list starts with the minimum alpha = a.h[0][0], a polynomial,
+    whose multiplication matrix is alpha * Id: its columns span
+    alpha * K[x]^n.  They are left out of the stack, and its HNF is
+    computed modulo D = alpha instead, which stands for them exactly.
     """
     order = a.order
     p, n = order.p, order.n
     target = sum(a.h[j][j].deg for j in range(n))
+    mod = a.h[0][0]
     for gens in _generators(a):
         rows = []
-        for g in gens:
+        for g in gens[1:]:
             rows += zip(*order.elem_mul_matrix(g))  # the columns
-        hs = hnf_square(rows, p)
+        hs = hnf_square(rows, p, mod)
         if sum(hs[j][j].deg for j in range(n)) == target:
             break
     return _dual(order, hs, a.den)
@@ -517,12 +536,17 @@ def _maximalize_at(order: Order, q: Poly) -> Order:
 
 
 def maximal_order(field) -> Order:
+    """Round two at every q whose square divides the discriminant, in
+    (degree, key) order.  Only the repeated part of the discriminant is
+    factored: a squarefree discriminant needs no factoring at all."""
     p, n = field.p, field.n
-    _, facs = poly_factor(field.discriminant())
+    qs = []
+    for part, mult in poly_squarefree_decomposition(field.discriminant()):
+        if mult >= 2:
+            qs += [q for q, _ in poly_factor(part)[1]]
+    qs.sort(key=lambda q: (q.deg, q.key()))
     order = Order(field, scalar_rows(Poly.one(p), n), Poly.one(p))
-    for q, mult in facs:
-        if mult < 2:
-            continue
+    for q in qs:
         if _dedekind_q_maximal(field, q):
             continue
         order = _maximalize_at(order, q)

@@ -12,7 +12,11 @@ monic pivots and every entry below a pivot (same column) of degree
 strictly less than that pivot, which makes H a canonical representative
 of the row span; hnf_square is built on it, and lower_tri_inverse turns a
 square HNF into the dual lattice that every colon ideal is computed from
-(see orders._dual). row_reduce makes the leading-row-coefficient matrix
+(see orders._dual).  Each column is cleared by a pairwise gcd chain
+(Euclid on two entries at a time, smallest first).  A caller that knows a
+polynomial D with D * K[x]^n inside the row span passes it as mod: the
+entries are then kept reduced mod D, which stops them growing, and the
+HNF is the same. row_reduce makes the leading-row-coefficient matrix
 nonsingular (row reduction), which exposes the row degrees that the
 Riemann-Roch searches compare against.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polys import Poly, _divmod_arr, _inv_mod, _mk, _mul_arr, _trim
+from .polys import _ZERO, Poly, _divmod_arr, _inv_mod, _mk, _mul_arr, _trim
 
 
 def mat_key(rows) -> bytes:
@@ -85,53 +89,136 @@ def _sub_scaled(ra, rb, q, p: int, shift: int = 0):
         ra[j] = _trim(out)
 
 
-def _hnf_rows(rows, p: int):
+def _rev_inverse(dc, p: int):
+    """The power series inverse, modulo x^d, of the reversal of the monic
+    coefficient array dc of degree d (Newton iteration)."""
+    d = dc.size - 1
+    rev = dc[::-1]
+    g = np.ones(1, dtype=np.int64)
+    prec = 1
+    while prec < d:
+        prec = min(2 * prec, d)
+        err = _mul_arr(rev[:prec], g, p)[:prec]
+        err[0] -= 1
+        corr = _mul_arr(g, err, p)[:prec]
+        nxt = np.zeros(prec, dtype=np.int64)
+        nxt[:g.size] = g
+        nxt[:corr.size] -= corr
+        g = nxt % p
+    return g
+
+
+def _rem_arr(a, dc, dinv, p: int):
+    """a mod the monic dc of degree d, dinv = _rev_inverse(dc, p).  One
+    excess coefficient, the common case after a row update, is one
+    subtraction; more are reduced 2d coefficients at a time through one
+    quotient from the precomputed inverse (two products)."""
+    d = dc.size - 1
+    if d == 0:
+        return _ZERO
+    while a.size > d:
+        if a.size == d + 1:
+            return _trim((a[:d] - a[d] * dc[:d]) % p)
+        lo = max(a.size - 2 * d, 0)
+        top = a[lo:]
+        m = top.size - d
+        # the quotient, reversed, is rev(top) * dinv mod x^m
+        q = _mul_arr(top[:d - 1:-1], dinv[:m], p)[m - 1::-1]
+        r = (top[:d] - _mul_arr(q, dc, p)[:d]) % p
+        a = _trim(np.concatenate((a[:lo], r)))
+    return a
+
+
+def _fold(active, best, i, j, p: int, rem_row):
+    """Euclid on the column-j entries of the rows active[best] and
+    active[i] by row updates (each row reduced by rem_row after its
+    update, if given); returns the index of the row left holding their
+    gcd, the other entry being zero."""
+    while active[i][j].size:
+        q = _divmod_arr(active[i][j], active[best][j], p)[0]
+        _sub_scaled(active[i], active[best], q, p)
+        if rem_row is not None:
+            active[i] = rem_row(active[i])
+        if active[i][j].size:
+            best, i = i, best
+    return best
+
+
+def _hnf_rows(rows, p: int, mod: Poly = None):
     """Row HNF core. Returns (H_rows, pivot_cols).
 
     H lower echelon: pivot of row k in column pivot_cols[k], zero rows (if
     any) at the top, monic pivots, entries below a pivot in its column
     reduced mod the pivot.  Inner loops run on raw coefficient arrays;
     Poly wrappers are restored at the end.
-    """
-    work = _arrays(rows)
-    m = len(work)
-    n = len(work[0])
 
-    # columns right to left, pivot rows assigned bottom up: zero rows end
-    # at the top, the echelon block at the bottom is lower triangular
-    pivots = []
-    k = m - 1
+    Columns are cleared right to left by a pairwise gcd chain: the
+    nonzero entries of the column are taken in increasing degree, and
+    each is folded into the smallest by Euclid on that pair alone, so a
+    unit pivot clears the column in one update per row.
+
+    mod, when given, is a nonzero polynomial D with D * K[x]^n inside the
+    row span (Cohen, GTM 138, 2.4.3: HNF modulo D).  Entries are then
+    kept reduced mod D, and once the entries of column j are folded into
+    one row w, the row D * e_j, whose entry is the largest, is folded in
+    last: its Euclid steps are the extended gcd g of w_j and D, and they
+    leave the pivot row (entry g) and the cofactor row (D / g) * w mod D,
+    up to a unit.  Those two rows span what w and D * e_j span, so H is
+    the HNF of the rows for any such D, not only for a multiple of the
+    determinant, and every column has a pivot.  A unit w_j needs no such
+    step, as its cofactor is zero.
+    """
+    active = _arrays(rows)  # rows with no pivot yet
+    n = len(active[0])
+    rem_row = None
+    if mod is not None:
+        dc = mod.monic().c
+        d = dc.size - 1
+        dinv = _rev_inverse(dc, p)
+
+        def rem_row(row):
+            return [e if e.size <= d else _rem_arr(e, dc, dinv, p)
+                    for e in row]
+
+        active = [rem_row(row) for row in active]
+
+    # columns right to left; finished rows are collected bottom up, so the
+    # echelon block at the bottom of H is lower triangular
+    done = []
+    cols = []
     for j in range(n - 1, -1, -1):
-        if k < 0:
+        if not active and mod is None:
             break
-        # gcd-chain on entries of column j in rows 0..k
-        while True:
-            cand = [i for i in range(k + 1) if work[i][j].size]
-            if len(cand) <= 1:
-                break
-            best = min(cand, key=lambda i: (work[i][j].size, i))
-            piv = work[best][j]
-            for i in cand:
-                if i == best:
-                    continue
-                q = _divmod_arr(work[i][j], piv, p)[0]
-                _sub_scaled(work[i], work[best], q, p)
-        if not cand:
+        cand = sorted((i for i, row in enumerate(active) if row[j].size),
+                      key=lambda i: (active[i][j].size, i))
+        best = cand[0] if cand else None
+        for i in cand[1:]:
+            best = _fold(active, best, i, j, p, rem_row)
+        if mod is not None and (best is None or active[best][j].size > 1):
+            active.append([_ZERO] * j + [dc] + [_ZERO] * (n - 1 - j))
+            last = len(active) - 1
+            best = last if best is None else _fold(active, best, last, j, p,
+                                                   rem_row)
+        if best is None:
             continue
-        i = cand[0]
-        if i != k:
-            work[i], work[k] = work[k], work[i]
-        lc = int(work[k][j][-1])
+        w = active[best]
+        active[best] = active[-1]
+        active.pop()
+        lc = int(w[j][-1])
         if lc != 1:
             inv = _inv_mod(lc, p)
-            work[k] = [(e * inv) % p for e in work[k]]
-        pivots.append((k, j))
-        k -= 1
+            w = [(e * inv) % p for e in w]
+        done.append(w)
+        cols.append(j)
 
-    # entries below a pivot (same column, larger row index) reduced mod the
-    # pivot; finalize rows top down, and within a row reduce its pivot
-    # columns right to left so finished entries are never touched again
-    pivots.reverse()
+    # any rows left unfinished are zero; above them the finished rows, top
+    # down.  Entries below a pivot (same column, larger row index) reduced
+    # mod the pivot; finalize rows top down, and within a row reduce its
+    # pivot columns right to left so finished entries are never touched
+    # again
+    work = active + done[::-1]
+    top = len(active)
+    pivots = [(top + t, j) for t, j in enumerate(cols[::-1])]
     for t in range(len(pivots)):
         r = pivots[t][0]
         for s in range(t - 1, -1, -1):
@@ -146,10 +233,12 @@ def _hnf_rows(rows, p: int):
     return _polys(work, p), pivots
 
 
-def hnf_square(rows, p: int):
+def hnf_square(rows, p: int, mod: Poly = None):
     """HNF of a lattice spanned by rows with full column rank n; returns the
-    nonsingular n x n bottom block."""
-    h, pivots = _hnf_rows(rows, p)
+    nonsingular n x n bottom block.  mod is as for _hnf_rows: a polynomial
+    D with D * K[x]^n inside the row span, which keeps entries small and
+    gives the same HNF."""
+    h, pivots = _hnf_rows(rows, p, mod)
     n = len(rows[0])
     if [j for _, j in pivots] != list(range(n)):
         raise ArithmeticError("lattice does not have full column rank")

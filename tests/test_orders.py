@@ -351,6 +351,39 @@ def test_two_generator_product_and_inverse_match_reference():
                 assert ideal_mul(b, a).key() == ref_mul(a, b).key()
 
 
+def test_products_and_inverses_modulo_d_match_plain_hnf(monkeypatch):
+    # ideal_mul and ideal_inv reduce their stacks modulo a.h[0][0] *
+    # b.h[0][0] and a.h[0][0]; ref_mul and ref_inv take the plain HNF of
+    # all n^2 rows.  Finite and infinite maximal orders of the small
+    # fields: fractional ideals, pairs sharing a prime, and the ramified
+    # primes at infinity, where the pair can fall short
+    lists = []
+    generators = orders._generators
+
+    def spy(a):
+        for k, gens in enumerate(generators(a)):
+            lists.append(k)
+            yield gens
+
+    monkeypatch.setattr(orders, "_generators", spy)
+    for f in small_fields():
+        p = f.p
+        for o in (maximal_order(f), maximal_order(f.infinite_model())):
+            primes = decompose_prime(o, x_poly(p)) \
+                + decompose_prime(o, Poly([1, 1], p))
+            ideals = [ideal_one(o)]
+            for pr in primes:
+                inv = ref_inv(pr)
+                ideals += [pr, ref_mul(pr, pr), inv, ref_mul(inv, primes[0])]
+            assert any(not a.is_integral() for a in ideals)
+            for a in ideals:
+                assert ideal_inv(a).key() == ref_inv(a).key()
+                for b in ideals:
+                    assert ideal_mul(a, b).key() == ref_mul(a, b).key()
+    # some first pair fell short, so the second one was stacked as well
+    assert 1 in lists
+
+
 def test_prime_powers_match_reference():
     for f in fields_with_p7():
         o = maximal_order(f)

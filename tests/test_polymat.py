@@ -11,8 +11,10 @@ from ffjac.polymat import (
     hnf_square,
     in_lattice,
     lower_tri_inverse,
+    mat_key,
     mat_mul,
     row_reduce,
+    scalar_rows,
 )
 
 P = 32771
@@ -125,6 +127,57 @@ def test_hnf_square_rank_deficient_raises():
     one = Poly.one(p)
     with pytest.raises(ArithmeticError):
         hnf_square([[one, z], [one, z]], p)
+
+
+def scaled(rows, c):
+    return [[e * c for e in row] for row in rows]
+
+
+def modulus_cases(rng, p, n):
+    """(rows, D) pairs with D * K[x]^n inside the row span of rows."""
+    q = Poly([rng.randrange(p), 1], p)
+    while True:
+        m = rand_matrix(rng, p, n, n, dmax=3)
+        det = bareiss_det(m, p)
+        if not det.is_zero():
+            break
+    extra = rand_matrix(rng, p, rng.randrange(n + 1), n, dmax=5)
+    bigger = rand_poly(rng, p, 3)
+    while bigger.deg < 1:
+        bigger = rand_poly(rng, p, 3)
+    # the determinant, and a D strictly larger than it
+    yield m + extra, det
+    yield extra + m, det * bigger
+    # span q * K[x]^n: D = q^k is not squarefree, and D = q is, for n > 1,
+    # a proper divisor of the determinant q^n
+    qm = scaled(rand_unimodular(rng, p, n), q)
+    for k in (1, 2, 3):
+        yield qm + scaled(extra, q), q ** k
+    # rows that are multiples of D reduce to zero rows
+    yield scaled(extra, det) + m + scaled(m, det), det
+    # column c holds nothing but D * e_c, which reduces to zero: the
+    # column is empty once the stack is reduced mod D
+    c = rng.randrange(n)
+    sub = [row[:c] + [Poly.zero(p)] + row[c + 1:] for row in m]
+    sub[c] = [Poly.zero(p)] * c + [Poly.one(p)] + [Poly.zero(p)] * (n - 1 - c)
+    sdet = bareiss_det(sub, p)
+    if not sdet.is_zero():
+        mod = sdet * q * q
+        yield sub[:c] + sub[c + 1:] + [scalar_rows(mod, n)[c]], mod
+
+
+def test_hnf_modulo_d_matches_plain_hnf():
+    # a modulus D with D * K[x]^n in the span changes no byte of the HNF
+    count = 0
+    for p in (2, 7, BIG):
+        rng = random.Random(61)
+        for _ in range(10):
+            n = rng.randrange(1, 5)
+            for rows, mod in modulus_cases(rng, p, n):
+                want = mat_key(hnf_square(rows, p))
+                assert mat_key(hnf_square(rows, p, mod)) == want
+                count += 1
+    assert count >= 200
 
 
 def test_det_vs_diagonal_product():
