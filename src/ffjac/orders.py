@@ -6,6 +6,12 @@ multiplication, stored as a basis matrix over the power basis
 ideals keep their rows in the coordinates of the owning order.  Every
 lattice is normalized to canonical Hermite form with a minimal monic
 denominator, so equal modules have identical keys.
+
+Three memos are shared by every context on a field: Order._decomp (the
+primes above each q decomposed so far), PrimeIdeal._pows and _inv_pows
+(the powers of a prime and of its inverse).  They grow lazily, without a
+bound or a lock: a long-lived field keeps every q and exponent it has
+seen, and contexts on one field must not run in several threads at once.
 """
 
 import random

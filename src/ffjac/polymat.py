@@ -16,9 +16,9 @@ square HNF into the dual lattice that every colon ideal is computed from
 (Euclid on two entries at a time, smallest first).  A caller that knows a
 polynomial D with D * K[x]^n inside the row span passes it as mod: the
 entries are then kept reduced mod D, which stops them growing, and the
-HNF is the same. row_reduce makes the leading-row-coefficient matrix
-nonsingular (row reduction), which exposes the row degrees that the
-Riemann-Roch searches compare against.
+HNF is the same. row_reduce brings a square matrix to weak Popov form by
+simple transformations, one row update each, which exposes the row
+degrees that the Riemann-Roch searches compare against.
 """
 
 from __future__ import annotations
@@ -245,17 +245,6 @@ def hnf_square(rows, p: int, mod: Poly = None):
     return h[len(h) - n:]
 
 
-def _leading_matrix(work, degs):
-    """F_p matrix of the coefficients of x^degs[i] in the raw rows work."""
-    lead = np.zeros((len(work), len(work[0])), dtype=np.int64)
-    for i, row in enumerate(work):
-        d = degs[i]
-        for j, e in enumerate(row):
-            if e.size - 1 == d:
-                lead[i, j] = e[d]
-    return lead
-
-
 def fp_rref(mat: np.ndarray, p: int):
     """Row-reduced echelon form over F_p; returns (rref, pivot_cols)."""
     a = mat.copy() % p
@@ -308,66 +297,72 @@ def fp_kernel(a: np.ndarray, p: int):
     return out
 
 
-def row_reduce(rows, p: int, companion=None, threshold=None):
-    """Row reduction: make the leading-row-coefficient matrix nonsingular.
+def _lead(row):
+    """(degree, leading position) of a raw row; a zero row has degree -1."""
+    d = lp = -1
+    for j, e in enumerate(row):
+        if e.size >= d:
+            d, lp = e.size, j
+    return d - 1, lp
 
-    Operates in place on copies; returns (work, degs, companion, hit, steps)
-    where hit is the index of a row whose degree reached threshold (short
-    circuit, reduction left unfinished), or None, and steps is the number of
-    row updates made. Row degree is the max entry degree. Requires a
-    nonsingular square input; a vanishing row raises.
+
+def row_reduce(rows, companion, p: int, threshold=None):
+    """Row reduction to weak Popov form by simple transformations
+    (Mulders and Storjohann, JSC 35, 2003).
+
+    A row's leading position is the rightmost column whose entry reaches
+    the row degree.  While two rows share one, the row of higher degree
+    loses c * x^(d_i - d_k) times the other, which cancels its leading
+    entry, and its companion row the same multiple of the other's.
+    Distinct leading positions make the leading-row-coefficient matrix
+    nonsingular: the basis is then row-reduced, with the row degrees of
+    every row-reduced basis of its span.
+
+    Returns (degs, companion, hit, steps): the row degrees, the updated
+    companion rows, the index of a row whose degree reached threshold
+    (short circuit, reduction left unfinished) or None, and the number
+    of simple transformations.  Requires a nonsingular square input; a
+    vanishing row raises.
     """
-    work = _arrays(rows)
-    comp = None if companion is None else _arrays(companion)
-    m = len(work)
-    degs = [max(e.size for e in row) - 1 for row in work]
+    work, comp = _arrays(rows), _arrays(companion)
+    lead = [_lead(row) for row in work]
     steps = 0
 
     def done(hit):
-        return (_polys(work, p), degs,
-                None if comp is None else _polys(comp, p), hit, steps)
+        return [d for d, _ in lead], _polys(comp, p), hit, steps
 
-    def check(i):
-        return threshold is not None and degs[i] <= threshold
-
-    for i in range(m):
-        if degs[i] < 0:
+    for i, (d, _) in enumerate(lead):
+        if d < 0:
             raise ArithmeticError("zero row in row_reduce input")
-        if check(i):
+        if threshold is not None and d <= threshold:
             return done(i)
 
-    while True:
-        ker = fp_kernel(_leading_matrix(work, degs), p)
-        if not len(ker):
-            return done(None)
-        v = ker[0]
-        cand = [i for i in range(m) if v[i]]
-        tgt = max(cand, key=lambda i: (degs[i], i))
-        d_t = degs[tgt]
-        inv = _inv_mod(int(v[tgt]), p)
-        # row tgt += sum over i of (v[i] / v[tgt]) x^(d_t - d_i) row i
-        new_row = list(work[tgt])
-        new_comp = list(comp[tgt]) if comp is not None else None
-        for i in cand:
-            if i == tgt:
-                continue
-            q = np.array([(-int(v[i]) * inv) % p], dtype=np.int64)
-            shift = d_t - degs[i]
-            _sub_scaled(new_row, work[i], q, p, shift)
-            if comp is not None:
-                _sub_scaled(new_comp, comp[i], q, p, shift)
-        work[tgt] = new_row
-        if comp is not None:
-            comp[tgt] = new_comp
-        nd = max(e.size for e in new_row) - 1
-        if nd >= d_t:
-            raise ArithmeticError("row degree did not drop; input singular?")
-        if nd < 0:
-            raise ArithmeticError("row vanished in row_reduce; input singular")
-        degs[tgt] = nd
-        steps += 1
-        if check(tgt):
-            return done(tgt)
+    owner = {}  # leading position -> the row that holds it
+    for i in range(len(work)):
+        while True:
+            d, lp = lead[i]
+            k = owner.setdefault(lp, i)
+            if k == i:
+                break
+            if lead[k][0] > d:
+                owner[lp], i, k = i, k, i
+            shift = lead[i][0] - lead[k][0]
+            q = np.array([int(work[i][lp][-1])
+                          * _inv_mod(int(work[k][lp][-1]), p) % p])
+            _sub_scaled(work[i], work[k], q, p, shift)
+            _sub_scaled(comp[i], comp[k], q, p, shift)
+            new = _lead(work[i])
+            if new >= lead[i]:
+                raise ArithmeticError("(degree, leading position) did not "
+                                      "drop; input singular?")
+            if new[0] < 0:
+                raise ArithmeticError("row vanished in row_reduce; input "
+                                      "singular")
+            lead[i] = new
+            steps += 1
+            if threshold is not None and new[0] <= threshold:
+                return done(i)
+    return done(None)
 
 
 def bareiss_det(rows, p: int) -> Poly:

@@ -12,8 +12,8 @@ arrays, which the matrix kernels of polymat call directly: _trim (drop
 leading zeros), _mul_arr (the product) and _divmod_arr (quotient and
 remainder). Poly wraps an array and delegates to them.
 
-All values are immutable; every operation returns fresh objects, so objects
-can be shared freely across threads.
+Poly values are immutable (every operation returns a fresh Poly), so they
+can be shared freely across threads; the memos of orders cannot.
 """
 
 from __future__ import annotations

@@ -82,8 +82,8 @@ def rr_basis(field, divisor: Divisor):
     vmat, tau_inf = _inf_profile(field,
                                  inf_inverse_ideal(field, divisor.inf_vec))
     tau = tau_inf + den_u.deg
-    _, degs, comp, _, _ = row_reduce(mat_mul(rows, vmat, field.p), field.p,
-                                     companion=rows)
+    degs, comp, _, _ = row_reduce(mat_mul(rows, vmat, field.p), rows,
+                                  field.p)
     dim = 0
     basis = []
     for j, d in enumerate(degs):
@@ -110,14 +110,13 @@ def ssrr_reduce(field, basis, profile):
     the matching element with a deterministic normalization, or None when
     the space is zero; the basis as reduced so far, which spans the same
     finite module and is the warm start of the next search on it; and the
-    number of row_reduce steps made.
+    number of steps row_reduce made, each one simple transformation.
     """
     rows, den_u = basis
     vmat, tau_inf = profile
     p = field.p
-    _, _, comp, hit, steps = row_reduce(mat_mul(rows, vmat, p), p,
-                                        companion=rows,
-                                        threshold=tau_inf + den_u.deg)
+    _, comp, hit, steps = row_reduce(mat_mul(rows, vmat, p), rows, p,
+                                     tau_inf + den_u.deg)
     basis = (comp, den_u)
     if hit is None:
         return None, basis, steps

@@ -4,6 +4,8 @@ Each is written out from public library pieces, so a test that uses one
 checks the library against an independent computation.
 """
 
+import numpy as np
+
 from ffjac.divisors import Divisor, Place, finite_places_above
 from ffjac.extpoly import fqp_divmod, fqp_mul, fqp_sub
 from ffjac.field import FFElem
@@ -11,6 +13,18 @@ from ffjac.orders import (_q_multiplicity, decompose_prime, ideal_inv,
                           ideal_mul, ideal_one)
 from ffjac.polymat import bareiss_det
 from ffjac.polys import Poly, poly_factor
+
+
+def leading_matrix(rows):
+    """F_p matrix of the leading row coefficients of a Poly matrix: row i
+    holds the coefficients of x^d in row i, d the row's degree."""
+    lead = np.zeros((len(rows), len(rows[0])), dtype=np.int64)
+    for i, row in enumerate(rows):
+        d = max(e.deg for e in row)
+        for j, e in enumerate(row):
+            if not e.is_zero() and e.deg == d:
+                lead[i, j] = e.lc
+    return lead
 
 
 def _mul_matrix(a):

@@ -165,9 +165,9 @@ def test_typical_addition_counters(monkeypatch):
         bin_steps.append(list(steps))
         if len(lin_steps) >= 3:
             break
-    assert lin_steps == [[12, 0], [12, 0], [12, 1]]
+    assert lin_steps == [[17, 0], [19, 0], [15, 0]]
     # binary queries all start cold
-    assert bin_steps == [[14, 12, 11], [15, 12, 11], [13, 12, 9]]
+    assert bin_steps == [[22, 17, 16], [21, 19, 16], [19, 15, 14]]
     bino.counters.reset()
     assert bino.counters.as_dict()["row_reduce_steps"] == 0
 

@@ -5,7 +5,6 @@ import pytest
 from ffjac.polys import Poly
 from ffjac.polymat import (
     _hnf_rows,
-    _leading_matrix,
     bareiss_det,
     fp_kernel,
     hnf_square,
@@ -16,6 +15,8 @@ from ffjac.polymat import (
     row_reduce,
     scalar_rows,
 )
+
+from helpers import leading_matrix
 
 P = 32771
 # above polys._CONV_LIMIT: every product takes the Kronecker path
@@ -196,6 +197,24 @@ def test_det_vs_diagonal_product():
         assert prod == d.monic()
 
 
+def nonsingular(rng, p, n, dmax=4):
+    m = rand_matrix(rng, p, n, n, dmax)
+    while bareiss_det(m, p).is_zero():
+        m = rand_matrix(rng, p, n, n, dmax)
+    return m
+
+
+def row_degrees(rows):
+    return [max(e.deg for e in row) for row in rows]
+
+
+def leading_positions(rows):
+    """Per row, the rightmost column whose entry reaches the row degree."""
+    lead = leading_matrix(rows)
+    return [max(j for j in range(lead.shape[1]) if lead[i, j])
+            for i in range(lead.shape[0])]
+
+
 def test_row_reduce_degrees_sum_to_det_degree():
     for p in (P, BIG):
         rng = random.Random(23)
@@ -205,36 +224,56 @@ def test_row_reduce_degrees_sum_to_det_degree():
             d = bareiss_det(m, p)
             if d.is_zero():
                 continue
-            start = sum(max(e.deg for e in row) for row in m)
-            work, degs, _, hit, steps = row_reduce(m, p)
+            start = sum(row_degrees(m))
+            degs, comp, hit, steps = row_reduce(m, identity(n, p), p)
             assert hit is None
+            red = mat_mul(comp, m, p)
+            assert row_degrees(red) == degs
             assert sum(degs) == d.deg
-            # every step lowers one row degree by at least one
-            assert steps <= start - d.deg
+            # every step lowers sum(n * deg + leading position) by at
+            # least one; at the end the leading positions are 0 .. n-1
+            assert steps <= n * (start - d.deg) + n * (n - 1) // 2
             # leading matrix nonsingular means no further drop possible
-            lead = _leading_matrix([[e.c for e in row] for row in work], degs)
-            assert len(fp_kernel(lead, p)) == 0
+            assert len(fp_kernel(leading_matrix(red), p)) == 0
+
+
+def test_row_reduce_weak_popov_leading_positions_distinct():
+    count = 0
+    for p in (P, BIG):
+        rng = random.Random(37)
+        for _ in range(15):
+            n = rng.randrange(2, 6)
+            m = nonsingular(rng, p, n)
+            _, comp, hit, _ = row_reduce(m, identity(n, p), p)
+            assert hit is None
+            lps = leading_positions(mat_mul(comp, m, p))
+            assert sorted(lps) == list(range(n))
+            count += 1
+    assert count == 30
 
 
 def test_row_reduce_preserves_row_span():
     rng = random.Random(29)
     p = 101
-    m = rand_matrix(rng, p, 3, 3)
-    while bareiss_det(m, p).is_zero():
-        m = rand_matrix(rng, p, 3, 3)
-    work = row_reduce(m, p)[0]
-    assert hnf_square(m, p) == hnf_square(work, p)
+    m = nonsingular(rng, p, 3)
+    comp = row_reduce(m, identity(3, p), p)[1]
+    assert hnf_square(m, p) == hnf_square(mat_mul(comp, m, p), p)
 
 
 def test_row_reduce_companion_tracks_ops():
+    # the input is c * v and the companion c, as in riemann_roch: the
+    # returned companion times v must be the reduced matrix
     for p in (101, BIG):
         rng = random.Random(31)
-        m = rand_matrix(rng, p, 3, 3, dmax=5)
-        while bareiss_det(m, p).is_zero():
-            m = rand_matrix(rng, p, 3, 3, dmax=5)
-        work, _, comp, _, _ = row_reduce(m, p, companion=identity(3, p))
-        # comp * m == work
-        assert mat_mul(comp, m, p) == work
+        c = nonsingular(rng, p, 3, dmax=3)
+        v = nonsingular(rng, p, 3, dmax=3)
+        degs, comp, _, steps = row_reduce(mat_mul(c, v, p), c, p)
+        assert steps > 0
+        red = mat_mul(comp, v, p)
+        assert row_degrees(red) == degs
+        assert len(fp_kernel(leading_matrix(red), p)) == 0
+        # comp = U * c with U unimodular
+        assert hnf_square(comp, p) == hnf_square(c, p)
 
 
 def test_row_reduce_threshold_short_circuit():
@@ -242,10 +281,22 @@ def test_row_reduce_threshold_short_circuit():
     x = Poly.x(p)
     one = Poly.one(p)
     rows = [[x ** 6, one], [one, x ** 5]]
-    work, degs, _, hit, steps = row_reduce(rows, p, threshold=5)
+    degs, _, hit, steps = row_reduce(rows, identity(2, p), p, threshold=5)
     assert hit is not None
     assert degs[hit] <= 5
     assert steps == 0
+
+
+def test_row_reduce_rejects_singular_input():
+    p = 101
+    x = Poly.x(p)
+    one = Poly.one(p)
+    z = Poly.zero(p)
+    with pytest.raises(ArithmeticError, match="zero row"):
+        row_reduce([[x, one], [z, z]], identity(2, p), p)
+    # the second row is x times the first, and vanishes
+    with pytest.raises(ArithmeticError, match="vanished"):
+        row_reduce([[x, one], [x * x, x]], identity(2, p), p)
 
 
 def test_lower_tri_inverse():
