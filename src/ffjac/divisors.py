@@ -16,7 +16,7 @@ from .orders import (
     principal_ideal,
 )
 from .polymat import _vm, in_lattice, scalar_rows
-from .polys import Poly, _int_list, poly_gcd
+from .polys import Poly, _int_list, poly_gcd, poly_is_irreducible
 
 
 class Place:
@@ -61,6 +61,13 @@ def infinite_places(field):
 
 
 def finite_places_above(field, q: Poly):
+    """Places above q, a monic irreducible polynomial of K[x]; any other
+    q raises ValueError.  Places above a nonlinear q cost more: they
+    come from the radical split (see orders.decompose_prime)."""
+    if not (isinstance(q, Poly) and q.p == field.p and q.lc == 1
+            and poly_is_irreducible(q)):
+        raise ValueError("q must be a monic irreducible polynomial "
+                         "over F_%d" % field.p)
     o = field.finite_order()
     return [Place(field, True, pr) for pr in decompose_prime(o, q)]
 

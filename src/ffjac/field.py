@@ -6,11 +6,12 @@ ceil(deg a_i / (n - i)); substituting x = 1/u, t = s/u^e turns f into a
 second monic model over K[u] whose integral closure describes the places
 over the degree valuation. Elements are stored as coordinate rows in the
 power basis 1, t, ..., t^{n-1} over K(x) with a cleared denominator.
+FunctionField.mul_tpoly is the one product of polynomials in t: element
+products and the multiplication tables of orders both reduce it mod f.
 """
 
 from __future__ import annotations
 
-from .extpoly import PolyRing, fqp_mul
 from .polys import Poly, _int_list, _inv_mod, poly_gcd
 
 
@@ -185,6 +186,19 @@ class FunctionField:
                     out[i] = out[i] + c * row[i]
         return out
 
+    def mul_tpoly(self, a, b):
+        """Coordinates of (sum a[i] t^i) * (sum b[j] t^j), the K[x]
+        coefficient lists a and b of length at most n: the product of
+        the two polynomials in t, reduced by reduce_tpoly."""
+        conv = [Poly.zero(self.p)] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai.is_zero():
+                continue
+            for j, bj in enumerate(b):
+                if not bj.is_zero():
+                    conv[i + j] = conv[i + j] + ai * bj
+        return self.reduce_tpoly(conv)
+
     # -- twist / infinite model ------------------------------------------
 
     def infinite_model(self) -> "FunctionField":
@@ -332,8 +346,7 @@ class FFElem:
 
     def __mul__(self, other):
         self._check(other)
-        conv = fqp_mul(PolyRing(self.field.p), self.num, other.num)
-        red = self.field.reduce_tpoly(conv)
+        red = self.field.mul_tpoly(self.num, other.num)
         return FFElem(self.field, red, self.den * other.den)
 
     def __repr__(self):

@@ -7,6 +7,12 @@ ideals keep their rows in the coordinates of the owning order.  Every
 lattice is normalized to canonical Hermite form with a minimal monic
 denominator, so equal modules have identical keys.
 
+Every factorization here is over F_p (polys.poly_factor).  A linear
+prime q = x - c is tested by the Dedekind criterion and split by Kummer's
+theorem from the factors of f mod q; any other q, and a linear q dividing
+the index, goes through round two and the radical split, which need no
+arithmetic over the residue field F_p[x]/(q).
+
 Three memos are shared by every context on a field: Order._decomp (the
 primes above each q decomposed so far), PrimeIdeal._pows and _inv_pows
 (the powers of a prime and of its inverse).  They grow lazily, without a
@@ -18,8 +24,6 @@ import random
 
 import numpy as np
 
-from .extpoly import (Fq, PolyRing, fqp_deg, fqp_divmod, fqp_factor, fqp_gcd,
-                      fqp_is_zero, fqp_mul, fqp_reduce, fqp_sub)
 from .polymat import (
     _vm,
     bareiss_det,
@@ -164,12 +168,10 @@ class Order:
         if self._table is None:
             fld = self.field
             p, n, d = self.p, self.n, self.den
-            ring = PolyRing(p)
             T = [[None] * n for _ in range(n)]
             for a in range(n):
                 for b in range(a, n):
-                    conv = fqp_mul(ring, self.basis[a], self.basis[b])
-                    vec = fld.reduce_tpoly(conv)
+                    vec = fld.mul_tpoly(self.basis[a], self.basis[b])
                     scaled = [e.exact_div(d) for e in vec]
                     c = in_lattice(scaled, self.basis, p)
                     if c is None:
@@ -463,30 +465,28 @@ def discriminant_support(field) -> Poly:
     return det.monic()
 
 
-def _fbar(field, ctx: Fq):
-    return [ctx.reduce(c) for c in field.coeffs] + [ctx.one()]
+def _residues(field, q: Poly) -> Poly:
+    """f modulo the linear prime q = x - c: the polynomial in t over F_p
+    with coefficients a_i(c)."""
+    return Poly([(a % q).coeff(0) for a in field.coeffs] + [1], field.p)
 
 
 def _dedekind_q_maximal(field, q: Poly) -> bool:
-    """Dedekind criterion: is the equation order maximal at q?"""
+    """Dedekind criterion: is the equation order maximal at the linear
+    prime q?  With f = g * h mod q, g the product of the distinct
+    irreducible factors and F = (g * h - f) / q, it is maximal exactly
+    when gcd(g, h, F mod q) = 1."""
     p = field.p
-    ctx = Fq(q)
-    fbar = _fbar(field, ctx)
-    _, facs = fqp_factor(ctx, fbar)
-    gbar = [ctx.one()]
-    for gi, _ in facs:
-        gbar = fqp_mul(ctx, gbar, gi)
-    hbar, rem = fqp_divmod(ctx, fbar, gbar)
-    if not fqp_is_zero(rem):
-        raise ArithmeticError("inexact division in residue factorization")
-    # natural lifts: residue coefficients are already polynomials of
-    # degree < deg q
+    fbar = _residues(field, q)
+    gbar = Poly.one(p)
+    for g, _ in poly_factor(fbar)[1]:
+        gbar = gbar * g
+    hbar = fbar.exact_div(gbar)
+    # g and h lift as constants in x, so g * h lifts to fbar itself
     flist = list(field.coeffs) + [Poly.one(p)]
-    ring = PolyRing(p)
-    diff = fqp_sub(ring, fqp_mul(ring, gbar, hbar), flist)
-    Fbar = fqp_reduce(ctx, [c.exact_div(q) for c in diff])
-    z = fqp_gcd(ctx, fqp_gcd(ctx, gbar, hbar), Fbar)
-    return fqp_deg(z) <= 0
+    Fbar = Poly([((Poly([c], p) - a).exact_div(q) % q).coeff(0)
+                 for c, a in zip(fbar.coeffs, flist)], p)
+    return poly_gcd(poly_gcd(gbar, hbar), Fbar).deg <= 0
 
 
 def _pow_coords_mod(order: Order, v, e: int, q: Poly):
@@ -544,7 +544,9 @@ def _maximalize_at(order: Order, q: Poly) -> Order:
 def maximal_order(field) -> Order:
     """Round two at every q whose square divides the discriminant, in
     (degree, key) order.  Only the repeated part of the discriminant is
-    factored: a squarefree discriminant needs no factoring at all."""
+    factored: a squarefree discriminant needs no factoring at all.  A
+    linear q where the Dedekind criterion holds is skipped; any other q
+    goes straight to round two, which certifies q-maximality itself."""
     p, n = field.p, field.n
     qs = []
     for part, mult in poly_squarefree_decomposition(field.discriminant()):
@@ -553,7 +555,7 @@ def maximal_order(field) -> Order:
     qs.sort(key=lambda q: (q.deg, q.key()))
     order = Order(field, scalar_rows(Poly.one(p), n), Poly.one(p))
     for q in qs:
-        if _dedekind_q_maximal(field, q):
+        if q.deg == 1 and _dedekind_q_maximal(field, q):
             continue
         order = _maximalize_at(order, q)
     return order
@@ -563,17 +565,19 @@ def maximal_order(field) -> Order:
 
 
 def _decompose_kummer(order: Order, q: Poly):
+    """Primes above a linear q prime to the index: (q, g(t)) for each
+    irreducible factor g of f mod q, lifted with constant coefficients."""
     field = order.field
-    ctx = Fq(q)
-    _, facs = fqp_factor(ctx, _fbar(field, ctx))
+    p = field.p
     primes = []
-    for gbar, e in facs:
-        vec = field.reduce_tpoly(list(gbar))
+    for gbar, e in poly_factor(_residues(field, q))[1]:
+        # an inert q has a factor of degree n: reduce_tpoly folds its t^n
+        vec = field.reduce_tpoly([Poly([c], p) for c in gbar.coeffs])
         c = order.from_power(vec)
         if c is None:
             raise ArithmeticError("lift left the order")
         rows = order.elem_mul_matrix(c) + scalar_rows(q, order.n)
-        primes.append(PrimeIdeal(order, rows, q, f=fqp_deg(gbar), e=e))
+        primes.append(PrimeIdeal(order, rows, q, f=gbar.deg, e=e))
     return primes
 
 
@@ -697,15 +701,18 @@ def _decompose_radical_split(order: Order, q: Poly):
 
 def decompose_prime(order: Order, q: Poly):
     """Primes of the maximal order above the monic irreducible q, sorted
-    canonically, as PrimeIdeal objects with ramification data filled in."""
+    canonically, as PrimeIdeal objects with ramification data filled in.
+    A linear q prime to the index is split by Kummer's theorem, from the
+    factors of f mod q over F_p; every other q by the radical split,
+    which costs more."""
     ck = q.key()
     cached = order._decomp.get(ck)
     if cached is not None:
         return cached
-    if q.divides(order.index_poly()):
-        primes = _decompose_radical_split(order, q)
-    else:
+    if q.deg == 1 and not q.divides(order.index_poly()):
         primes = _decompose_kummer(order, q)
+    else:
+        primes = _decompose_radical_split(order, q)
     qone = [e * q for e in order.one_coords]
     for pr in primes:
         ev = pr.val_coords(qone)

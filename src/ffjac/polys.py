@@ -12,11 +12,16 @@ arrays, which the matrix kernels of polymat call directly: _trim (drop
 leading zeros), _mul_arr (the product) and _divmod_arr (quotient and
 remainder). Poly wraps an array and delegates to them.
 
+poly_factor (Cantor-Zassenhaus) is the library's only factoring routine;
+nothing factors over an extension of F_p.
+
 Poly values are immutable (every operation returns a fresh Poly), so they
 can be shared freely across threads; the memos of orders cannot.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -301,23 +306,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_xgcd(a: Poly, b: Poly):
-    """(g, s, t) with s*a + t*b = g, g the monic gcd."""
-    p = a.p
-    r0, r1 = a, b
-    s0, s1 = Poly.one(p), Poly.zero(p)
-    t0, t1 = Poly.zero(p), Poly.one(p)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = _inv_mod(r0.lc, p)
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
-
-
 def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
     """base^e mod mod, square and multiply."""
     out = Poly.one(base.p)
@@ -426,15 +414,14 @@ def _edf(f: Poly, d: int, rng) -> list:
     return out
 
 
-def poly_factor(f: Poly, seed: int = 1):
-    """Full factorization into monic irreducibles.
+def poly_factor(f: Poly):
+    """Full factorization into monic irreducibles, by Cantor-Zassenhaus.
 
-    Returns (lc, [(irreducible, multiplicity), ...]) sorted by (degree, key)
-    so the result is deterministic for a fixed seed.
+    Returns (lc, [(irreducible, multiplicity), ...]) sorted by (degree,
+    key), so the result is deterministic.  Prime decomposition factors
+    residue polynomials here as well: it takes them at linear primes only.
     """
-    import random
-
-    rng = random.Random(seed)
+    rng = random.Random(1)
     if f.is_zero():
         raise ValueError("factor of zero polynomial")
     lead = f.lc

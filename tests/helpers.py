@@ -7,7 +7,6 @@ checks the library against an independent computation.
 import numpy as np
 
 from ffjac.divisors import Divisor, Place, finite_places_above
-from ffjac.extpoly import fqp_divmod, fqp_mul, fqp_sub
 from ffjac.field import FFElem
 from ffjac.orders import (_q_multiplicity, decompose_prime, ideal_inv,
                           ideal_mul, ideal_one)
@@ -39,17 +38,6 @@ def norm(a):
     multiplication by num(a) on the power basis, and den(a)^n."""
     f = a.field
     return bareiss_det(_mul_matrix(a), f.p), a.den ** f.n
-
-
-def half_xgcd(ctx, f: list, g: list):
-    """(r, s): r a gcd of f and g, not normalized, and s * f = r mod g."""
-    r0, r1 = list(f), list(g)
-    s0, s1 = [ctx.one()], []
-    while r1:
-        q, r = fqp_divmod(ctx, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, fqp_sub(ctx, s0, fqp_mul(ctx, q, s1))
-    return r0, s0
 
 
 def inverse(a) -> FFElem:

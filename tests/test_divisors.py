@@ -139,3 +139,36 @@ def test_places_above_polynomial():
     field = small_fields()[0]
     pls = finite_places_above(field, Poly([-1, 1], p5))
     assert sum(pl.prime.e * pl.prime.f for pl in pls) == field.n
+
+
+def cubic5():
+    # the F_5 cubic of the CLI self test
+    return make_field(p5, 3, [Poly([1, 4, 3, 4, 1, 1], p5),
+                              Poly([4, 4, 1], p5), Poly([3, 4, 4], p5)])
+
+
+def test_places_above_a_constant_rejected():
+    # the radical split looped forever on the residue field of a constant
+    with pytest.raises(ValueError, match="monic irreducible"):
+        finite_places_above(cubic5(), Poly([3], p5))
+
+
+def test_places_above_a_prime_power_rejected():
+    # x^2 was split as if prime: one "place" with e = 1, f = 3
+    with pytest.raises(ValueError, match="monic irreducible"):
+        finite_places_above(cubic5(), Poly([0, 0, 1], p5))
+
+
+def test_places_above_a_non_monic_prime_rejected():
+    # 2x + 4 gave a place keyed apart from the place of x + 2
+    field = cubic5()
+    with pytest.raises(ValueError, match="monic irreducible"):
+        finite_places_above(field, Poly([4, 2], p5))
+    places = finite_places_above(field, Poly([2, 1], p5))
+    assert [pl.degree() for pl in places] == [3]
+
+
+def test_places_above_a_reducible_quadratic_rejected():
+    # x^2 + 1 = (x - 2)(x + 2) over F_5
+    with pytest.raises(ValueError, match="monic irreducible"):
+        finite_places_above(cubic5(), Poly([1, 0, 1], p5))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from pathlib import Path
 
@@ -148,6 +149,7 @@ def test_kummer_and_radical_split_agree():
 
 
 def test_dedekind_agrees_with_enlargement():
+    # the criterion is only taken at linear primes
     for f in small_fields():
         p = f.p
         disc = discriminant_support(f)
@@ -157,7 +159,7 @@ def test_dedekind_agrees_with_enlargement():
 
         eq = Order(f, rows, Poly.one(p))
         for q, m in poly_factor(disc)[1]:
-            if m < 2:
+            if m < 2 or q.deg != 1:
                 continue
             enlarged = _maximalize_at(eq, q)
             assert _dedekind_q_maximal(f, q) == enlarged.index_poly().is_one()
@@ -505,7 +507,8 @@ def test_round_two_radicals_and_enlargements():
             p, n = model.p, model.n
             order = equation_order(model)
             for q, mult in poly_factor(discriminant_support(model))[1]:
-                if mult < 2 or _dedekind_q_maximal(model, q):
+                if mult < 2 or (q.deg == 1
+                                and _dedekind_q_maximal(model, q)):
                     continue
                 seen.append(name)
                 rad = _radical_ideal(order, q)
@@ -530,3 +533,92 @@ def test_round_two_radicals_and_enlargements():
             assert order.key() == maximal_order(model).key()
     assert "add-chain-n6" in seen and "small1" in seen
 
+
+def test_dedekind_shortcut_keeps_the_maximal_order(monkeypatch):
+    # without the shortcut, round two runs at every q whose square
+    # divides the discriminant and must reach the same order
+    fields = pinned_fields()
+    want = [(maximal_order(f).key(), maximal_order(f.infinite_model()).key())
+            for _, f in fields]
+    criterion = orders._dedekind_q_maximal
+    verdicts = []
+
+    def never(f, q):
+        verdicts.append(criterion(f, q))
+        return False
+
+    monkeypatch.setattr(orders, "_dedekind_q_maximal", never)
+    got = [(maximal_order(f).key(), maximal_order(f.infinite_model()).key())
+           for _, f in fields]
+    assert got == want
+    # some prime passed the criterion and went through round two instead
+    assert True in verdicts
+
+
+def nonlinear_primes(p):
+    """The first three monic irreducible quadratics over F_p (the only
+    one for p = 2), and for p < 10 the first two cubics."""
+    qs = list(itertools.islice(enumerate_monic_irreducibles(p, 2), 3))
+    if p < 10:
+        qs += list(itertools.islice(enumerate_monic_irreducibles(p, 3), 2))
+    return qs
+
+
+# first 32 hex digits of the sha256 of (key, e, f) of every prime above
+# nonlinear_primes(p) in the finite, then the infinite maximal order,
+# recorded when these primes were split by Kummer's theorem over F_p[x]/(q)
+DECOMPOSITION_DIGESTS = {
+    "add-chain-g28": "2830ede3cdea99ad16ef4ee0dd15de61",
+    "add-chain-n6": "4f80218f57051b4b157a27766c41ae96",
+    "reduce-q7-g3": "0b8c3d0eea5e5cbe68cdb06827d87702",
+    "p7_0": "a3f790890c82a4ef657d3a014b8a0efb",
+    "p7_1": "184378608849ebf1d82d52349a4c96e9",
+    "p7_2": "58bb7b69251f565b1a336c88e1d86a99",
+    "p7_3": "df74099dcd7e496405e387bcbd9c194e",
+    "p7_4": "343067f1e30a261e83adf1d579e3379c",
+}
+
+
+def test_nonlinear_decompositions_pinned():
+    fields = [(path.stem, read_field(path)[0])
+              for path in sorted(PERFBENCH_FIELDS.glob("*.json"))]
+    fields += [("p7_%d" % i, f) for i, f in enumerate(fields_with_p7())]
+    assert sorted(name for name, _ in fields) == sorted(DECOMPOSITION_DIGESTS)
+    for name, f in fields:
+        digest = hashlib.sha256()
+        for o in (f.finite_order(), f.infinite_order()):
+            for q in nonlinear_primes(f.p):
+                primes = decompose_prime(o, q)
+                prod = ideal_one(o)
+                for pr in primes:
+                    digest.update(pr.key() + b"|%d,%d;" % (pr.e, pr.f))
+                    prod = ideal_mul(prod, pr.power(pr.e))
+                assert prod == Ideal(o, scalar_rows(q, o.n)), (name, q)
+        assert digest.hexdigest()[:32] == DECOMPOSITION_DIGESTS[name], name
+
+
+def test_repeated_quadratic_prime_goes_through_round_two():
+    # q = x^2 + 2 is irreducible over F_5 and q^2 divides both
+    # discriminants: t^2 - x q^2 is not maximal at q (t / q is integral),
+    # t^3 - q is Eisenstein at q.  The Dedekind criterion is not taken at
+    # q, so round two alone decides.  Digests: first 32 hex digits of the
+    # sha256 of Order.key() followed by (key, e, f) of the primes above q,
+    # recorded when the criterion and Kummer's theorem ran over
+    # F_5[x]/(q)
+    p = 5
+    q = Poly([2, 0, 1], p)
+    cases = [
+        (make_field(p, 2, [-(x_poly(p) * q * q), Poly([], p)]), q, [(1, 2)],
+         "93b2ab5bdea34c17f00f8727e6c1caf5"),
+        (make_field(p, 3, [-q, Poly([], p), Poly([], p)]), Poly.one(p),
+         [(3, 1)], "eddd4d58e59f8127f78c9ec7de87d225"),
+    ]
+    for f, index, shape, want in cases:
+        o = maximal_order(f)
+        assert o.index_poly() == index
+        primes = decompose_prime(o, q)
+        assert [(pr.e, pr.f) for pr in primes] == shape
+        digest = hashlib.sha256(o.key())
+        for pr in primes:
+            digest.update(pr.key() + b"|%d,%d;" % (pr.e, pr.f))
+        assert digest.hexdigest()[:32] == want

@@ -1,4 +1,4 @@
-"""Polynomial layer: ring ops, xgcd, factoring."""
+"""Polynomial layer: ring ops, gcd, factoring."""
 
 import random
 
@@ -12,7 +12,6 @@ from ffjac.polys import (
     poly_is_irreducible,
     poly_powmod,
     poly_squarefree_decomposition,
-    poly_xgcd,
 )
 
 
@@ -80,25 +79,6 @@ class TestPolyBasics:
 
 
 class TestXgcd:
-    def test_bezout_identity_random(self):
-        rng = random.Random(3)
-        p = 32771
-        for _ in range(200):
-            a = rand_poly(rng, p, rng.randrange(10))
-            b = rand_poly(rng, p, rng.randrange(10))
-            g, s, t = poly_xgcd(a, b)
-            assert s * a + t * b == g
-            if not g.is_zero():
-                assert g.lc == 1
-                assert (a % g).is_zero() and (b % g).is_zero()
-
-    def test_coprime_gives_unit(self):
-        p = 5
-        a = Poly([1, 1], p)
-        b = Poly([2, 1], p)
-        g, s, t = poly_xgcd(a, b)
-        assert g.is_one()
-
     def test_gcd_zero_zero(self):
         z = Poly([], 7)
         assert poly_gcd(z, z).is_zero()
