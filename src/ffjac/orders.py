@@ -311,29 +311,36 @@ def ideal_mul(a: Ideal, b: Ideal) -> Ideal:
 
 
 def _dual(order: Order, hs, num: Poly) -> Ideal:
-    """The lattice {c : c * v in num * K[x] for every row v of hs}.
+    """The lattice {c : c * v in num * K[x] for every condition row v},
+    given hs, the square HNF of the condition rows with their columns
+    reversed.
 
-    hs is a square HNF; with G * hs = d * Id from lower_tri_inverse this
-    is num * G^T / d.  Every colon ideal is one of these: the inverse,
-    the radical and the multiplier ring each collect their conditions
-    c * v in num * K[x] as the rows v of one HNF.
+    With J the column reversal, J * hs * J is an upper-triangular basis
+    of the condition lattice, so for G * hs = d * Id from
+    lower_tri_inverse the dual is num * J * G^T * J / d: the rows
+    num * G[n-1-j][n-1-i], lower triangular with a nonzero diagonal.
+    Their HNF meets one entry per column and makes no Euclid step; what
+    remains is monic pivots, the reduction below each pivot and the
+    cancellation against d.  Every colon ideal is one of these: the
+    inverse, the radical and the multiplier ring each collect their
+    conditions c * v in num * K[x] as the rows v of one stack.
     """
     n = order.n
     g, d = lower_tri_inverse(hs, order.p)
-    return Ideal(order, [[g[j][i] * num for j in range(n)] for i in range(n)],
-                 d)
+    return Ideal(order, [[g[n - 1 - j][n - 1 - i] * num for j in range(n)]
+                         for i in range(n)], d)
 
 
 def ideal_inv(a: Ideal) -> Ideal:
     """Inverse of a fractional ideal of a maximal order.
 
-    The colon lattice {x : x * a inside O} is the _dual of the HNF of
-    the columns of the multiplication matrices of the generators of a,
-    with num = a.den.  The generators come from _generators, as in
-    ideal_mul: the dual for a pair contains a^-1 and equals it exactly
-    when the HNF's diagonal degrees sum to those of a.h, again by
-    cancellation in the maximal order.  The dual for all n rows is used
-    unchecked.
+    The colon lattice {x : x * a inside O} is the _dual, num = a.den,
+    of the columns of the multiplication matrices of the generators of
+    a, each column reversed before the HNF.  The generators come from
+    _generators, as in ideal_mul: the dual for a pair contains a^-1 and
+    equals it exactly when the HNF's diagonal degrees (deg det, which
+    the reversal keeps) sum to those of a.h, again by cancellation in
+    the maximal order.  The dual for all n rows is used unchecked.
 
     Every list starts with the minimum alpha = a.h[0][0], a polynomial,
     whose multiplication matrix is alpha * Id: its columns span
@@ -347,7 +354,8 @@ def ideal_inv(a: Ideal) -> Ideal:
     for gens in _generators(a):
         rows = []
         for g in gens[1:]:
-            rows += zip(*order.elem_mul_matrix(g))  # the columns
+            # the columns, reversed
+            rows += zip(*order.elem_mul_matrix(g)[::-1])
         hs = hnf_square(rows, p, mod)
         if sum(hs[j][j].deg for j in range(n)) == target:
             break
@@ -505,7 +513,9 @@ def _radical_ideal(order: Order, q: Poly) -> Ideal:
     """q-radical of the order, {c : c^Q = 0 mod q} for the first power
     Q of #K[x]/(q) at least n; it contains q * O.  c -> c^Q mod q is
     linear with rows e_i^Q, so this is the _dual, num = q, of the
-    columns of that matrix under the rows q * e_i."""
+    columns of that matrix and the rows q * e_i.  The columns are
+    reversed before the HNF, which is taken modulo q: that stands for
+    the rows q * e_i exactly, so they are left out of the stack."""
     p, n = order.p, order.n
     qp = p ** q.deg
     Q = qp
@@ -513,16 +523,17 @@ def _radical_ideal(order: Order, q: Poly) -> Ideal:
         Q *= qp
     frob = [_pow_coords_mod(order, ei, Q, q)
             for ei in scalar_rows(Poly.one(p), n)]
-    return _dual(order, hnf_square(scalar_rows(q, n) + list(zip(*frob)), p),
-                 q)
+    return _dual(order, hnf_square(list(zip(*frob[::-1])), p, q), q)
 
 
 def _maximalize_at(order: Order, q: Poly) -> Order:
     """Round two at q: replace the order by its multiplier ring
     {c : c * rad inside q * rad} until they agree.  With G_B * (q * rad)
     = d_B * Id that ring is the _dual, num = d_B, of the columns of
-    M_w * G_B for the rows w of rad under the rows d_B * e_i.  The
-    returned order keeps its q-radical for _decompose_radical_split."""
+    M_w * G_B for the rows w of rad and the rows d_B * e_i.  As in
+    _radical_ideal, the columns are reversed and the HNF is taken modulo
+    d_B in place of those rows.  The returned order keeps its q-radical
+    for _decompose_radical_split."""
     field = order.field
     p, n = order.p, order.n
     qid_key = mat_key(scalar_rows(q, n))
@@ -530,10 +541,10 @@ def _maximalize_at(order: Order, q: Poly) -> Order:
         rad = _radical_ideal(order, q)
         gb, db = lower_tri_inverse([[e * q for e in row] for row in rad.h],
                                    p)
-        rows = scalar_rows(db, n)
+        rows = []
         for w in rad.h:
-            rows += zip(*mat_mul(order.elem_mul_matrix(w), gb, p))
-        L = _dual(order, hnf_square(rows, p), db).h
+            rows += zip(*mat_mul(order.elem_mul_matrix(w), gb, p)[::-1])
+        L = _dual(order, hnf_square(rows, p, db), db).h
         if mat_key(L) == qid_key:
             order._radicals[q.key()] = rad
             return order
@@ -582,12 +593,17 @@ def _decompose_kummer(order: Order, q: Poly):
 
 
 def _decompose_radical_split(order: Order, q: Poly):
-    """Primes above q through the semisimple quotient O / rad(qO)."""
+    """Primes above q through the semisimple quotient O / rad(qO).  A q
+    prime to the discriminant of f is unramified and prime to the index,
+    so its radical is q * O itself and no Frobenius power is taken."""
     p, n = order.p, order.n
     d = q.deg
     rad = order._radicals.pop(q.key(), None)
     if rad is None:
-        rad = _radical_ideal(order, q)
+        if q.divides(order.field.discriminant()):
+            rad = _radical_ideal(order, q)
+        else:
+            rad = Ideal(order, scalar_rows(q, n))
     h = rad.h
     qpos = [j for j in range(n) if h[j][j].deg > 0]
     if not qpos:

@@ -10,15 +10,17 @@ operation they make is the one update _sub_scaled, ra -= x^s * q * rb.
 _hnf_rows brings M by unimodular row operations to H lower echelon, with
 monic pivots and every entry below a pivot (same column) of degree
 strictly less than that pivot, which makes H a canonical representative
-of the row span; hnf_square is built on it, and lower_tri_inverse turns a
-square HNF into the dual lattice that every colon ideal is computed from
-(see orders._dual).  Each column is cleared by a pairwise gcd chain
-(Euclid on two entries at a time, smallest first).  A caller that knows a
-polynomial D with D * K[x]^n inside the row span passes it as mod: the
-entries are then kept reduced mod D, which stops them growing, and the
-HNF is the same. row_reduce brings a square matrix to weak Popov form by
-simple transformations, one row update each, which exposes the row
-degrees that the Riemann-Roch searches compare against.
+of the row span; hnf_square is built on it.  Every colon ideal is a dual
+lattice (see orders._dual): hnf_square of its conditions with the columns
+reversed, inverted by lower_tri_inverse and read back to front, gives the
+dual a lower-triangular basis, whose HNF needs no gcd chain.  Each column
+is cleared by a pairwise gcd chain (Euclid on two entries at a time,
+smallest first).  A caller that knows a polynomial D with D * K[x]^n
+inside the row span passes it as mod: the entries are then kept reduced
+mod D, which stops them growing, and the HNF is the same. row_reduce
+brings a square matrix to weak Popov form by simple transformations, one
+row update each, which exposes the row degrees that the Riemann-Roch
+searches compare against.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ import numpy as np
 
 from ffjac.divisors import Divisor, Place, finite_places_above
 from ffjac.field import FFElem
-from ffjac.orders import (_q_multiplicity, decompose_prime, ideal_inv,
-                          ideal_mul, ideal_one)
-from ffjac.polymat import bareiss_det
+from ffjac.orders import (Ideal, _q_multiplicity, decompose_prime,
+                          ideal_inv, ideal_mul, ideal_one)
+from ffjac.polymat import bareiss_det, hnf_square, lower_tri_inverse
 from ffjac.polys import Poly, poly_factor
 
 
@@ -31,6 +31,17 @@ def _mul_matrix(a):
     f = a.field
     return [f.reduce_tpoly([Poly.zero(f.p)] * j + list(a.num))
             for j in range(f.n)]
+
+
+def dual_by_second_hnf(order, rows, num):
+    """The lattice {c : c * v in num * K[x] for every row v}, from the
+    plain HNF hs of the rows: with G * hs = d * Id it is num * G^T / d,
+    and the HNF of those rows triangularizes the upper-triangular G^T
+    again, by a gcd chain on every column."""
+    p, n = order.p, order.n
+    g, d = lower_tri_inverse(hnf_square(rows, p), p)
+    return Ideal(order, [[g[j][i] * num for j in range(n)] for i in range(n)],
+                 d)
 
 
 def norm(a):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from ffjac.divisors import Divisor, finite_places_above
 from ffjac.field import FFElem, FunctionField, make_field
 from ffjac.fieldgen import read_field
 from ffjac.jacobian import JacobianCtx
-from ffjac import orders
+from ffjac import orders, polymat
 from ffjac.orders import (
     Ideal,
     decompose_prime,
@@ -30,7 +31,8 @@ from ffjac.orders import (
 from ffjac.polymat import (_vm, hnf_square, in_lattice, lower_tri_inverse,
                            scalar_rows)
 from ffjac.polys import Poly, enumerate_monic_irreducibles, poly_factor
-from helpers import element_of_place, norm, scale, val_ideal
+from helpers import (dual_by_second_hnf, element_of_place, norm, scale,
+                     val_ideal)
 
 
 def small_fields():
@@ -597,6 +599,14 @@ def test_nonlinear_decompositions_pinned():
         assert digest.hexdigest()[:32] == DECOMPOSITION_DIGESTS[name], name
 
 
+def repeated_quadratic_prime_fields():
+    """q = x^2 + 2 over F_5, and t^2 - x q^2 and t^3 - q."""
+    p = 5
+    q = Poly([2, 0, 1], p)
+    return q, [make_field(p, 2, [-(x_poly(p) * q * q), Poly([], p)]),
+               make_field(p, 3, [-q, Poly([], p), Poly([], p)])]
+
+
 def test_repeated_quadratic_prime_goes_through_round_two():
     # q = x^2 + 2 is irreducible over F_5 and q^2 divides both
     # discriminants: t^2 - x q^2 is not maximal at q (t / q is integral),
@@ -605,14 +615,10 @@ def test_repeated_quadratic_prime_goes_through_round_two():
     # sha256 of Order.key() followed by (key, e, f) of the primes above q,
     # recorded when the criterion and Kummer's theorem ran over
     # F_5[x]/(q)
-    p = 5
-    q = Poly([2, 0, 1], p)
-    cases = [
-        (make_field(p, 2, [-(x_poly(p) * q * q), Poly([], p)]), q, [(1, 2)],
-         "93b2ab5bdea34c17f00f8727e6c1caf5"),
-        (make_field(p, 3, [-q, Poly([], p), Poly([], p)]), Poly.one(p),
-         [(3, 1)], "eddd4d58e59f8127f78c9ec7de87d225"),
-    ]
+    q, fields = repeated_quadratic_prime_fields()
+    cases = zip(fields, [q, Poly.one(q.p)], [[(1, 2)], [(3, 1)]],
+                ["93b2ab5bdea34c17f00f8727e6c1caf5",
+                 "eddd4d58e59f8127f78c9ec7de87d225"])
     for f, index, shape, want in cases:
         o = maximal_order(f)
         assert o.index_poly() == index
@@ -622,3 +628,100 @@ def test_repeated_quadratic_prime_goes_through_round_two():
         for pr in primes:
             digest.update(pr.key() + b"|%d,%d;" % (pr.e, pr.f))
         assert digest.hexdigest()[:32] == want
+
+
+def test_unramified_nonlinear_primes_skip_the_radical(monkeypatch):
+    # no prime of nonlinear_primes divides the discriminant of its field
+    # or of the infinite model, so every decomposition of the pinned test
+    # goes through the radical split with rad(qO) = qO, and the pinned
+    # digests hold with the radical barred during decomposition
+    radical = orders._radical_ideal
+    split = orders._decompose_radical_split
+    decompose = orders.decompose_prime
+    splits = []
+
+    def refuse(order, q):
+        raise AssertionError("radical taken at an unramified prime")
+
+    def counted_split(order, q):
+        splits.append(q)
+        return split(order, q)
+
+    def decompose_without_radical(order, q):
+        assert not q.divides(order.field.discriminant())
+        monkeypatch.setattr(orders, "_radical_ideal", refuse)
+        try:
+            return decompose(order, q)
+        finally:
+            monkeypatch.setattr(orders, "_radical_ideal", radical)
+
+    monkeypatch.setattr(orders, "_decompose_radical_split", counted_split)
+    monkeypatch.setitem(globals(), "decompose_prime",
+                        decompose_without_radical)
+    test_nonlinear_decompositions_pinned()
+    assert splits
+
+
+def test_dual_makes_no_euclid_step(monkeypatch):
+    # _dual's lower-triangular rows meet one entry per column of the HNF,
+    # so no gcd chain runs inside it: inverses, radicals and multiplier
+    # rings of the finite and infinite maximal orders
+    fold, dual = polymat._fold, orders._dual
+    inside = []
+    folds = []
+    callers = set()
+
+    def counted_fold(*args):
+        if inside:
+            folds.append(args[3])
+        return fold(*args)
+
+    def watched_dual(order, hs, num):
+        callers.add(sys._getframe(1).f_code.co_name)
+        inside.append(True)
+        try:
+            return dual(order, hs, num)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(polymat, "_fold", counted_fold)
+    monkeypatch.setattr(orders, "_dual", watched_dual)
+    rng = random.Random(17)
+    for f in fields_with_p7():
+        for model in (f, f.infinite_model()):
+            o = maximal_order(model)
+            for q, _ in poly_factor(discriminant_support(model))[1]:
+                _maximalize_at(o, q)
+            for a in random_ideals(o, rng, 3):
+                ideal_inv(a)
+            for pr in decompose_prime(o, x_poly(f.p)):
+                ideal_inv(pr)
+    assert callers == {"ideal_inv", "_radical_ideal", "_maximalize_at"}
+    assert folds == []
+
+
+def test_setup_colon_ideals_match_second_hnf_dual(monkeypatch):
+    # every radical and multiplier ring that round two builds at a prime
+    # of degree at most 3 of the discriminant (higher ones cost seconds
+    # of Frobenius powers), on the pinned fields and the repeated
+    # quadratic ones, against the dual of the plain HNF of the same
+    # conditions: the reversed HNF's rows with their columns put back
+    fields = [f for _, f in pinned_fields()]
+    fields += repeated_quadratic_prime_fields()[1]
+    dual = orders._dual
+    checked = []
+
+    def compared_dual(order, hs, num):
+        out = dual(order, hs, num)
+        want = dual_by_second_hnf(order, [row[::-1] for row in hs], num)
+        assert out.key() == want.key()
+        checked.append(sys._getframe(1).f_code.co_name)
+        return out
+
+    monkeypatch.setattr(orders, "_dual", compared_dual)
+    for f in fields:
+        for model in (f, f.infinite_model()):
+            for q, _ in poly_factor(discriminant_support(model))[1]:
+                if q.deg <= 3:
+                    _maximalize_at(equation_order(model), q)
+    assert set(checked) == {"_radical_ideal", "_maximalize_at"}
