@@ -11,7 +11,9 @@ Every factorization here is over F_p (polys.poly_factor).  A linear
 prime q = x - c is tested by the Dedekind criterion and split by Kummer's
 theorem from the factors of f mod q; any other q, and a linear q dividing
 the index, goes through round two and the radical split, which need no
-arithmetic over the residue field F_p[x]/(q).
+arithmetic over the residue field F_p[x]/(q): the split reaches every
+prime above q as an ideal sum a + g(z) * O, with g a factor over F_p of
+the minimal polynomial of an element z of O / a.
 
 Three memos are shared by every context on a field: Order._decomp (the
 primes above each q decomposed so far), PrimeIdeal._pows and _inv_pows
@@ -27,7 +29,6 @@ import numpy as np
 from .polymat import (
     _vm,
     bareiss_det,
-    fp_kernel,
     fp_solve,
     hnf_square,
     in_lattice,
@@ -38,13 +39,6 @@ from .polymat import (
 )
 from .polys import (Poly, poly_factor, poly_gcd,
                     poly_squarefree_decomposition)
-
-
-def _matmul_mod(a, b, p: int):
-    """(a @ b) % p without int64 overflow for large p."""
-    if b.shape[0] * (p - 1) * (p - 1) < (1 << 63):
-        return (a @ b) % p
-    return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
 
 
 def _content(rows, p: int) -> Poly:
@@ -593,125 +587,68 @@ def _decompose_kummer(order: Order, q: Poly):
 
 
 def _decompose_radical_split(order: Order, q: Poly):
-    """Primes above q through the semisimple quotient O / rad(qO).  A q
-    prime to the discriminant of f is unramified and prime to the index,
-    so its radical is q * O itself and no Frobenius power is taken."""
-    p, n = order.p, order.n
-    d = q.deg
+    """Primes above q, split off the semisimple quotient O / rad(qO) by
+    ideal sums (Cohen, GTM 138, 6.2).  A work list holds integral ideals
+    a containing the radical, so O / a is a product of fields.  A random
+    z in O / a has minimal polynomial mu over F_p, found from its powers
+    reduced mod a.  When mu is irreducible of degree dim O / a = deg
+    det(a.h), z generates a field and a is prime; an irreducible mu of
+    smaller degree leaves a to another z.  Otherwise each irreducible
+    factor g of mu gives the ideal a + g(z) * O, whose quotient is the
+    product of the fields where g(z) vanishes.  A q prime to the
+    discriminant of f is unramified and prime to the index, so its
+    radical is q * O itself and no Frobenius power is taken."""
+    p, n, d = order.p, order.n, q.deg
     rad = order._radicals.pop(q.key(), None)
     if rad is None:
         if q.divides(order.field.discriminant()):
             rad = _radical_ideal(order, q)
         else:
             rad = Ideal(order, scalar_rows(q, n))
-    h = rad.h
-    qpos = [j for j in range(n) if h[j][j].deg > 0]
-    if not qpos:
-        raise ArithmeticError("radical equals the order")
-    dimv = d * len(qpos)
-    slot = {j: i for i, j in enumerate(qpos)}
-
-    def flat(coords):
-        v = _reduce_mod_lattice(coords, h)
-        out = np.zeros(dimv, dtype=np.int64)
-        for j in qpos:
-            cs = v[j].coeffs
-            out[slot[j] * d:slot[j] * d + len(cs)] = cs
-        return out
-
-    def unflat(vec):
-        coords = [Poly.zero(p)] * n
-        for j in qpos:
-            coords[j] = Poly(vec[slot[j] * d:(slot[j] + 1) * d], p)
-        return coords
-
-    def vmul(a, b):
-        prod = order.mul_coords(unflat(a), unflat(b))
-        return flat(_vec_mod(prod, q))
-
-    one_f = flat(order.one_coords)
     seed = int.from_bytes(q.key(), "little") % (1 << 31)
     rng = random.Random(seed ^ p)
-    work = [(np.eye(dimv, dtype=np.int64), one_f)]
-    done = []
-    guard = 0
+    work, primes = [rad], []
     while work:
-        guard += 1
-        if guard > 200 * max(n, 2):
-            raise ArithmeticError("component splitting did not converge")
-        basis, ident = work.pop()
-        dim = len(basis)
-        if dim % d != 0:
-            raise ArithmeticError("component dimension mismatch")
-        if dim == d:
-            done.append(basis)
-            continue
-        zvec = np.array([rng.randrange(p) for _ in range(dim)],
-                        dtype=np.int64)
-        z = _matmul_mod(zvec, basis, p)
-        if not z.any():
-            work.append((basis, ident))
-            continue
-        pows = [ident]
-        loc_rows = [fp_solve(basis, ident, p)]
-        cur = ident
-        mu = None
-        for _ in range(dim):
-            cur = vmul(cur, z)
-            lc = fp_solve(basis, cur, p)
-            if lc is None:
-                raise ArithmeticError("component is not closed")
-            dep = fp_solve(np.array(loc_rows), lc, p)
+        a = work.pop()
+        h = a.h
+        # every diagonal entry of h divides q: O / a has F_p-basis the
+        # coefficients below deg q in the columns whose entry is q
+        qpos = [j for j in range(n) if h[j][j].deg]
+
+        def flat(v):
+            out = np.zeros(d * len(qpos), dtype=np.int64)
+            for i, j in enumerate(qpos):
+                out[i * d:i * d + v[j].deg + 1] = v[j].c
+            return out
+
+        z = [Poly([rng.randrange(p) for _ in range(h[j][j].deg)], p)
+             for j in range(n)]
+        m = [_reduce_mod_lattice(row, h) for row in order.elem_mul_matrix(z)]
+        pows = [_reduce_mod_lattice(order.one_coords, h)]
+        flats = [flat(pows[0])]
+        while True:
+            cur = _reduce_mod_lattice(_vm(pows[-1], m, p), h)
+            dep = fp_solve(np.array(flats), flat(cur), p)
             if dep is not None:
-                mu = Poly([(-int(t)) % p for t in dep] + [1], p)
                 break
-            loc_rows.append(lc)
             pows.append(cur)
-        if mu is None:
-            raise ArithmeticError("minimal polynomial not found")
+            flats.append(flat(cur))
+        mu = Poly([-int(c) for c in dep] + [1], p)
         _, mfacs = poly_factor(mu)
-        if any(m > 1 for _, m in mfacs):
+        if any(k > 1 for _, k in mfacs):
             raise ArithmeticError("quotient is not semisimple")
         if len(mfacs) == 1:
-            if mfacs[0][0].deg == dim:
-                done.append(basis)
+            if mu.deg == d * len(qpos):
+                primes.append(PrimeIdeal(order, h, q, f=mu.deg // d))
             else:
-                # the sample generated a proper subfield; try another
-                work.append((basis, ident))
+                work.append(a)
             continue
-        for hpoly, _ in mfacs:
-            w = np.zeros(dimv, dtype=np.int64)
-            for i, cf in enumerate(hpoly.coeffs):
-                if cf:
-                    w = (w + cf * pows[i]) % p
-            rows = [fp_solve(basis, vmul(b, w), p) for b in basis]
-            ker = fp_kernel(np.array(rows), p)
-            if not (0 < len(ker) < dim):
-                raise ArithmeticError("degenerate split")
-            kbasis = _matmul_mod(ker, basis, p)
-            kd = len(kbasis)
-            amat = np.zeros((kd, kd * dimv), dtype=np.int64)
-            rhs = np.zeros(kd * dimv, dtype=np.int64)
-            for j in range(kd):
-                rhs[j * dimv:(j + 1) * dimv] = kbasis[j]
-                for i in range(kd):
-                    amat[i, j * dimv:(j + 1) * dimv] = vmul(kbasis[i],
-                                                            kbasis[j])
-            cvec = fp_solve(amat, rhs, p)
-            if cvec is None:
-                raise ArithmeticError("component has no identity")
-            ide = _matmul_mod(cvec, kbasis, p)
-            work.append((kbasis, ide))
-
-    primes = []
-    for l, bl in enumerate(done):
-        rows = [list(row) for row in h]
-        for m, bm in enumerate(done):
-            if m == l:
-                continue
-            for vec in bm:
-                rows.append(unflat(vec))
-        primes.append(PrimeIdeal(order, rows, q, f=len(bl) // d))
+        for g, _ in mfacs:
+            w = [Poly.zero(p)] * n
+            for c, v in zip(g.coeffs, pows):
+                if c:
+                    w = [e + t.scale(c) for e, t in zip(w, v)]
+            work.append(Ideal(order, h + order.elem_mul_matrix(w), mod=q))
     return primes
 
 
@@ -719,8 +656,9 @@ def decompose_prime(order: Order, q: Poly):
     """Primes of the maximal order above the monic irreducible q, sorted
     canonically, as PrimeIdeal objects with ramification data filled in.
     A linear q prime to the index is split by Kummer's theorem, from the
-    factors of f mod q over F_p; every other q by the radical split,
-    which costs more."""
+    factors of f mod q over F_p; every other q, and a linear q dividing
+    the index, by the radical split into ideal sums, which costs more.
+    Either way the ramification indices come from valuations of q."""
     ck = q.key()
     cached = order._decomp.get(ck)
     if cached is not None:

@@ -2,25 +2,27 @@
 
 Module bases are stored as rows throughout (lists of rows of Poly): a
 lattice is the K[x]-row-span of its matrix, and _vm is the one
-vector-times-matrix product. The row-operation loops (_hnf_rows,
+vector-times-matrix product. The row-operation loops (hnf_square,
 row_reduce, in_lattice) take and return Poly rows but work in between on
 raw coefficient rows (lists of int64 arrays, see polys), and every row
 operation they make is the one update _sub_scaled, ra -= x^s * q * rb.
 
-_hnf_rows brings M by unimodular row operations to H lower echelon, with
-monic pivots and every entry below a pivot (same column) of degree
-strictly less than that pivot, which makes H a canonical representative
-of the row span; hnf_square is built on it.  Every colon ideal is a dual
-lattice (see orders._dual): hnf_square of its conditions with the columns
-reversed, inverted by lower_tri_inverse and read back to front, gives the
-dual a lower-triangular basis, whose HNF needs no gcd chain.  Each column
-is cleared by a pairwise gcd chain (Euclid on two entries at a time,
-smallest first).  A caller that knows a polynomial D with D * K[x]^n
-inside the row span passes it as mod: the entries are then kept reduced
-mod D, which stops them growing, and the HNF is the same. row_reduce
-brings a square matrix to weak Popov form by simple transformations, one
-row update each, which exposes the row degrees that the Riemann-Roch
-searches compare against.
+hnf_square brings a stack of rows of full column rank by unimodular row
+operations to H lower triangular, with monic pivots and every entry
+below a pivot (same column) of degree strictly less than that pivot,
+which makes H a canonical representative of the row span.  Every colon
+ideal is a dual lattice (see orders._dual): hnf_square of its conditions
+with the columns reversed, inverted by lower_tri_inverse and read back to
+front, gives the dual a lower-triangular basis, whose HNF needs no gcd
+chain.  Each column is cleared by a pairwise gcd chain (Euclid on two
+entries at a time, smallest first).  A caller that knows a polynomial D
+with D * K[x]^n inside the row span passes it as mod: the entries are
+then kept reduced mod D, which stops them growing, and the HNF is the
+same. row_reduce brings a square matrix to weak Popov form by simple
+transformations, one row update each, which exposes the row degrees that
+the Riemann-Roch searches compare against.  Over F_p itself there is one
+solver, fp_solve (on fp_rref): prime decomposition finds the minimal
+polynomial of an element with it.
 """
 
 from __future__ import annotations
@@ -146,13 +148,12 @@ def _fold(active, best, i, j, p: int, rem_row):
     return best
 
 
-def _hnf_rows(rows, p: int, mod: Poly = None):
-    """Row HNF core. Returns (H_rows, pivot_cols).
-
-    H lower echelon: pivot of row k in column pivot_cols[k], zero rows (if
-    any) at the top, monic pivots, entries below a pivot in its column
-    reduced mod the pivot.  Inner loops run on raw coefficient arrays;
-    Poly wrappers are restored at the end.
+def hnf_square(rows, p: int, mod: Poly = None):
+    """HNF of a lattice spanned by rows with full column rank n: the
+    nonsingular lower-triangular n x n basis with monic pivots and every
+    entry below a pivot (same column) reduced mod the pivot.  Raises
+    ArithmeticError at the first column with no pivot.  Inner loops run
+    on raw coefficient arrays; Poly wrappers are restored at the end.
 
     Columns are cleared right to left by a pairwise gcd chain: the
     nonzero entries of the column are taken in increasing degree, and
@@ -184,13 +185,9 @@ def _hnf_rows(rows, p: int, mod: Poly = None):
 
         active = [rem_row(row) for row in active]
 
-    # columns right to left; finished rows are collected bottom up, so the
-    # echelon block at the bottom of H is lower triangular
+    # columns right to left; the pivot rows are collected bottom up
     done = []
-    cols = []
     for j in range(n - 1, -1, -1):
-        if not active and mod is None:
-            break
         cand = sorted((i for i, row in enumerate(active) if row[j].size),
                       key=lambda i: (active[i][j].size, i))
         best = cand[0] if cand else None
@@ -202,7 +199,7 @@ def _hnf_rows(rows, p: int, mod: Poly = None):
             best = last if best is None else _fold(active, best, last, j, p,
                                                    rem_row)
         if best is None:
-            continue
+            raise ArithmeticError("lattice does not have full column rank")
         w = active[best]
         active[best] = active[-1]
         active.pop()
@@ -211,40 +208,19 @@ def _hnf_rows(rows, p: int, mod: Poly = None):
             inv = _inv_mod(lc, p)
             w = [(e * inv) % p for e in w]
         done.append(w)
-        cols.append(j)
 
-    # any rows left unfinished are zero; above them the finished rows, top
-    # down.  Entries below a pivot (same column, larger row index) reduced
-    # mod the pivot; finalize rows top down, and within a row reduce its
-    # pivot columns right to left so finished entries are never touched
+    # row t has its pivot in column t; any rows left over are zero.
+    # Reduce the entries below each pivot mod the pivot, rows top down and
+    # within a row right to left, so finished entries are never touched
     # again
-    work = active + done[::-1]
-    top = len(active)
-    pivots = [(top + t, j) for t, j in enumerate(cols[::-1])]
-    for t in range(len(pivots)):
-        r = pivots[t][0]
+    h = done[::-1]
+    for t in range(n):
         for s in range(t - 1, -1, -1):
-            rs, js = pivots[s]
-            piv = work[rs][js]
-            e = work[r][js]
-            if not e.size or e.size < piv.size:
-                continue
-            q = _divmod_arr(e, piv, p)[0]
-            _sub_scaled(work[r], work[rs], q, p)
-
-    return _polys(work, p), pivots
-
-
-def hnf_square(rows, p: int, mod: Poly = None):
-    """HNF of a lattice spanned by rows with full column rank n; returns the
-    nonsingular n x n bottom block.  mod is as for _hnf_rows: a polynomial
-    D with D * K[x]^n inside the row span, which keeps entries small and
-    gives the same HNF."""
-    h, pivots = _hnf_rows(rows, p, mod)
-    n = len(rows[0])
-    if [j for _, j in pivots] != list(range(n)):
-        raise ArithmeticError("lattice does not have full column rank")
-    return h[len(h) - n:]
+            e = h[t][s]
+            if e.size >= h[s][s].size:
+                q = _divmod_arr(e, h[s][s], p)[0]
+                _sub_scaled(h[t], h[s], q, p)
+    return _polys(h, p)
 
 
 def fp_rref(mat: np.ndarray, p: int):
@@ -284,19 +260,6 @@ def fp_solve(a: np.ndarray, rhs: np.ndarray, p: int):
     for r, c in enumerate(piv):
         x[c] = red[r, n_unk]
     return x
-
-
-def fp_kernel(a: np.ndarray, p: int):
-    """Basis rows of {v : v * a = 0} over F_p."""
-    red, piv = fp_rref(a.T % p, p)
-    m = a.shape[0]
-    free = [c for c in range(m) if c not in piv]
-    out = np.zeros((len(free), m), dtype=np.int64)
-    for k, c0 in enumerate(free):
-        out[k, c0] = 1
-        for r, c in enumerate(piv):
-            out[k, c] = (-red[r, c0]) % p
-    return out
 
 
 def _lead(row):

@@ -419,7 +419,8 @@ def poly_factor(f: Poly):
 
     Returns (lc, [(irreducible, multiplicity), ...]) sorted by (degree,
     key), so the result is deterministic.  Prime decomposition factors
-    residue polynomials here as well: it takes them at linear primes only.
+    here as well: f mod a linear prime for Kummer's theorem, and minimal
+    polynomials over F_p in the radical split.
     """
     rng = random.Random(1)
     if f.is_zero():

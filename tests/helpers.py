@@ -10,7 +10,8 @@ from ffjac.divisors import Divisor, Place, finite_places_above
 from ffjac.field import FFElem
 from ffjac.orders import (Ideal, _q_multiplicity, decompose_prime,
                           ideal_inv, ideal_mul, ideal_one)
-from ffjac.polymat import bareiss_det, hnf_square, lower_tri_inverse
+from ffjac.polymat import (bareiss_det, fp_rref, hnf_square,
+                           lower_tri_inverse)
 from ffjac.polys import Poly, poly_factor
 
 
@@ -24,6 +25,19 @@ def leading_matrix(rows):
             if not e.is_zero() and e.deg == d:
                 lead[i, j] = e.lc
     return lead
+
+
+def fp_kernel(a: np.ndarray, p: int):
+    """Basis rows of {v : v * a = 0} over F_p."""
+    red, piv = fp_rref(a.T % p, p)
+    m = a.shape[0]
+    free = [c for c in range(m) if c not in piv]
+    out = np.zeros((len(free), m), dtype=np.int64)
+    for k, c0 in enumerate(free):
+        out[k, c0] = 1
+        for r, c in enumerate(piv):
+            out[k, c] = (-red[r, c0]) % p
+    return out
 
 
 def _mul_matrix(a):

@@ -103,6 +103,17 @@ def test_selftest_quick_passes(capsys):
     assert out.count("PASS") >= 4
 
 
+def test_module_entry_point_runs_selftest(tmp_path):
+    # a source checkout has no installed console script: python -m ffjac
+    # with PYTHONPATH=src must give the same command line
+    env = dict(os.environ, PYTHONPATH=str(Path(ffjac.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ffjac", "selftest",
+                           "--level", "quick"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
+
+
 def _run_optimized(code):
     """Run code in a fresh interpreter under python -O."""
     env = dict(os.environ, PYTHONPATH=str(Path(ffjac.__file__).parents[1]))

@@ -630,6 +630,31 @@ def test_repeated_quadratic_prime_goes_through_round_two():
         assert digest.hexdigest()[:32] == want
 
 
+def test_split_of_four_primes_that_share_minimal_polynomials():
+    # t^4 + t + x^3 + x^2 + x over F_2 at q = x^2 + x + 1: x^3 + x^2 + x
+    # is x * q, and t^4 + t = t (t + 1) (t^2 + t + 1) has the four
+    # elements of F_4 = F_2[x] / (q) as roots, so O / qO is F_4^4.  The
+    # components of an element of O / qO have at most three minimal
+    # polynomials over F_2 (w and w^2 share one), so no single z
+    # separates the four primes and the split must go on from a sum
+    # a + g(z) * O.  Digest as in test_nonlinear_decompositions_pinned,
+    # over the finite order, then the infinite order
+    p = 2
+    f = make_field(p, 4, [Poly([0, 1, 1, 1], p), Poly([1], p),
+                          Poly([], p), Poly([], p)])
+    q = Poly([1, 1, 1], p)
+    digest = hashlib.sha256()
+    for o in (f.finite_order(), f.infinite_order()):
+        primes = decompose_prime(o, q)
+        assert [(pr.e, pr.f) for pr in primes] == [(1, 1)] * 4
+        prod = ideal_one(o)
+        for pr in primes:
+            digest.update(pr.key() + b"|%d,%d;" % (pr.e, pr.f))
+            prod = ideal_mul(prod, pr.power(pr.e))
+        assert prod == Ideal(o, scalar_rows(q, o.n))
+    assert digest.hexdigest()[:32] == "60fa8361d8d6365aef8d3ff072f991b6"
+
+
 def test_unramified_nonlinear_primes_skip_the_radical(monkeypatch):
     # no prime of nonlinear_primes divides the discriminant of its field
     # or of the infinite model, so every decomposition of the pinned test

@@ -4,9 +4,7 @@ import pytest
 
 from ffjac.polys import Poly
 from ffjac.polymat import (
-    _hnf_rows,
     bareiss_det,
-    fp_kernel,
     hnf_square,
     in_lattice,
     lower_tri_inverse,
@@ -16,7 +14,7 @@ from ffjac.polymat import (
     scalar_rows,
 )
 
-from helpers import leading_matrix
+from helpers import fp_kernel, leading_matrix
 
 P = 32771
 # above polys._CONV_LIMIT: every product takes the Kronecker path
@@ -71,9 +69,6 @@ def is_lower_reduced(h):
 
 def test_hnf_identity_fixed():
     m = identity(3, 7)
-    h, pivots = _hnf_rows(m, 7)
-    assert h == m
-    assert pivots == [(0, 0), (1, 1), (2, 2)]
     assert hnf_square(m, 7) == m
 
 
@@ -85,7 +80,7 @@ def test_hnf_transform_and_canonical():
             m = rand_matrix(rng, p, n, n)
             if bareiss_det(m, p).is_zero():
                 continue
-            h, _ = _hnf_rows(m, p)
+            h = hnf_square(m, p)
             assert is_lower_reduced(h)
             # same row span: the rows of m lie in that of h, and the
             # determinants agree up to a unit
@@ -116,10 +111,6 @@ def test_hnf_rectangular_stack():
         m = rand_matrix(rng, 101, 3, 3)
     h = hnf_square(m + m + m, 101)
     assert h == hnf_square(m, 101)
-    # the full echelon form of the stack is zero rows above H
-    full, _ = _hnf_rows(m + m + m, 101)
-    assert full[6:] == h
-    assert all(e.is_zero() for row in full[:6] for e in row)
 
 
 def test_hnf_square_rank_deficient_raises():
