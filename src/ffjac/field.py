@@ -71,7 +71,9 @@ class FunctionField:
     what genus, places and reduction assume. Otherwise ValueError is
     raised. The check computes the discriminant and builds both maximal
     orders and the infinite places, which stay cached for every later
-    step. infinite_model passes check=False: it presents the same field.
+    step, and the reduction of L(0) it makes also yields the genus
+    (riemann_roch.l0_dim_and_genus). infinite_model passes check=False:
+    it presents the same field.
     """
 
     __slots__ = (
@@ -115,14 +117,14 @@ class FunctionField:
             self._check_constant_field()
 
     def _check_constant_field(self):
-        from .divisors import Divisor
-        from .riemann_roch import rr_dim
+        from .riemann_roch import l0_dim_and_genus
 
         try:
             self.discriminant()
         except ArithmeticError:
             raise ValueError("defining polynomial is not separable") from None
-        if rr_dim(self, Divisor.zero(self)) != 1:
+        dim, self._genus = l0_dim_and_genus(self)
+        if dim != 1:
             raise ValueError("defining polynomial is reducible or its "
                              "constant field is larger than F_%d" % self.p)
 
@@ -208,13 +210,6 @@ class FunctionField:
             )
         return self._inf_model
 
-    def one(self) -> "FFElem":
-        num = [Poly.one(self.p)] + [Poly.zero(self.p)] * (self.n - 1)
-        return FFElem(self, num)
-
-    def zero(self) -> "FFElem":
-        return FFElem(self, [Poly.zero(self.p)] * self.n)
-
     # -- lazy heavy structure ---------------------------------------------
 
     def finite_order(self):
@@ -233,13 +228,10 @@ class FunctionField:
 
     def genus(self) -> int:
         if self._genus is None:
-            from .riemann_roch import compute_genus
+            from .riemann_roch import l0_dim_and_genus
 
-            self._genus = compute_genus(self)
+            self._genus = l0_dim_and_genus(self)[1]
         return self._genus
-
-    def genus_bound(self) -> int:
-        return ((self.cf * self.n - 2) * (self.n - 1)) // 2
 
     # -- serialization ------------------------------------------------------
 

@@ -180,9 +180,6 @@ class Order:
         T = self.table()
         return [_vm(v, T[a], self.p) for a in range(self.n)]
 
-    def mul_coords(self, u, v):
-        return _vm(u, self.elem_mul_matrix(v), self.p)
-
     # -- coordinate conversion -------------------------------------------
 
     def from_power(self, vec):
@@ -491,15 +488,21 @@ def _dedekind_q_maximal(field, q: Poly) -> bool:
     return poly_gcd(poly_gcd(gbar, hbar), Fbar).deg <= 0
 
 
-def _pow_coords_mod(order: Order, v, e: int, q: Poly):
+def _pow_coords_mod(order: Order, v, e: int, q: Poly, table):
+    """v^e mod q in coordinates; table is order.table() reduced mod q."""
+    p = order.p
+
+    def mul(a, b):
+        return _vec_mod(_vm(a, [_vm(b, row, p) for row in table], p), q)
+
     result = _vec_mod(order.one_coords, q)
     base = _vec_mod(v, q)
     while e:
         if e & 1:
-            result = _vec_mod(order.mul_coords(result, base), q)
+            result = mul(result, base)
         e >>= 1
         if e:
-            base = _vec_mod(order.mul_coords(base, base), q)
+            base = mul(base, base)
     return result
 
 
@@ -515,7 +518,8 @@ def _radical_ideal(order: Order, q: Poly) -> Ideal:
     Q = qp
     while Q < n:
         Q *= qp
-    frob = [_pow_coords_mod(order, ei, Q, q)
+    table = [[_vec_mod(c, q) for c in row] for row in order.table()]
+    frob = [_pow_coords_mod(order, ei, Q, q, table)
             for ei in scalar_rows(Poly.one(p), n)]
     return _dual(order, hnf_square(list(zip(*frob[::-1])), p, q), q)
 

@@ -18,6 +18,8 @@ stopped (Hess, JSC 33, 2002: one reduced finite basis describes
 L(D + m*A) for every m).  Whether the space is zero does not depend on
 the start, and where it has dimension one neither does the normalized
 function found; the reduction in jacobian reads a function only there.
+The reduced pair of D = 0 from FunctionField's constant-field check so
+describes every L(m * (x)_oo), and the genus is read off its row degrees.
 """
 
 from .divisors import Divisor, infinite_places
@@ -76,24 +78,23 @@ def finite_basis(field, iinv: Ideal):
     return mat_mul(iinv.h, o.basis, field.p), iinv.den * o.den
 
 
-def rr_basis(field, divisor: Divisor):
-    """(dim L(D), basis as field elements)."""
+def _reduced_pair(field, divisor: Divisor):
+    """(degs, comp, tau, den): the fully reduced lattice pair of L(D),
+    whose row j gives x^k * comp[j] / den for 0 <= k <= tau - degs[j]."""
     rows, den_u = finite_basis(field, ideal_inv(divisor.fin))
     vmat, tau_inf = _inf_profile(field,
                                  inf_inverse_ideal(field, divisor.inf_vec))
-    tau = tau_inf + den_u.deg
     degs, comp, _, _ = row_reduce(mat_mul(rows, vmat, field.p), rows,
                                   field.p)
-    dim = 0
-    basis = []
-    for j, d in enumerate(degs):
-        take = tau - d + 1
-        if take <= 0:
-            continue
-        dim += take
-        for k in range(take):
-            basis.append(FFElem(field, [c.shift(k) for c in comp[j]], den_u))
-    return dim, basis
+    return degs, comp, tau_inf + den_u.deg, den_u
+
+
+def rr_basis(field, divisor: Divisor):
+    """(dim L(D), basis as field elements)."""
+    degs, comp, tau, den_u = _reduced_pair(field, divisor)
+    basis = [FFElem(field, [c.shift(k) for c in comp[j]], den_u)
+             for j, d in enumerate(degs) for k in range(tau - d + 1)]
+    return len(basis), basis
 
 
 def rr_dim(field, divisor: Divisor) -> int:
@@ -130,12 +131,14 @@ def ssrr_reduce(field, basis, profile):
     return FFElem(field, num, den_u), basis, steps
 
 
-def compute_genus(field) -> int:
-    """Genus from the dimension of a high-degree place multiple."""
-    gb = field.genus_bound()
-    pl = infinite_places(field)[0]
-    dp = pl.degree()
-    m = max(1, -(-(2 * gb + 1) // dp))
-    div = Divisor.from_place(pl, m)
-    dim = rr_dim(field, div)
-    return m * dp + 1 - dim
+def l0_dim_and_genus(field):
+    """(dim L(0), g) from the reduced pair of D = 0, with row degrees d_j
+    and bound tau: g = 1 + sum_j (d_j - tau - 1).  For D = m * (x)_oo the
+    infinite ideal is u^(-m) * O_oo, so _inf_profile gives the same matrix
+    and tau + m, and the finite rows, hence the d_j, stay those of D = 0.
+    For large m every term of l(D) = sum_j max(0, tau + m - d_j + 1) is
+    positive, and Riemann-Roch with deg (x)_oo = n makes it n*m + 1 - g.
+    """
+    degs, _, tau, _ = _reduced_pair(field, Divisor.zero(field))
+    dim = sum(max(0, tau - d + 1) for d in degs)
+    return dim, 1 + sum(d - tau - 1 for d in degs)

@@ -6,13 +6,37 @@ checks the library against an independent computation.
 
 import numpy as np
 
-from ffjac.divisors import Divisor, Place, finite_places_above
+from ffjac.divisors import Divisor, Place, finite_places_above, infinite_places
 from ffjac.field import FFElem
+from ffjac.fieldgen import expected_structured_genus
 from ffjac.orders import (Ideal, _q_multiplicity, decompose_prime,
                           ideal_inv, ideal_mul, ideal_one)
 from ffjac.polymat import (bareiss_det, fp_rref, hnf_square,
                            lower_tri_inverse)
 from ffjac.polys import Poly, poly_factor
+from ffjac.riemann_roch import rr_dim
+
+
+def one(field) -> FFElem:
+    p = field.p
+    return FFElem(field, [Poly.one(p)] + [Poly.zero(p)] * (field.n - 1))
+
+
+def zero(field) -> FFElem:
+    return FFElem(field, [Poly.zero(field.p)] * field.n)
+
+
+def genus_by_riemann_roch(field) -> int:
+    """Genus from the dimension of one high-degree place multiple m * P,
+    P the first infinite place.  The genus is at most the structured
+    family's (cf*n - 2)(n - 1)/2, the interior lattice points of the
+    triangle that holds the Newton polygon of f (Baker's bound), so
+    m * deg P > 2g - 2 and Riemann-Roch gives l(m * P) = m * deg P + 1 - g."""
+    gb = expected_structured_genus(field.p, field.n, field.cf)
+    pl = infinite_places(field)[0]
+    dp = pl.degree()
+    m = max(1, -(-(2 * gb + 1) // dp))
+    return m * dp + 1 - rr_dim(field, Divisor.from_place(pl, m))
 
 
 def leading_matrix(rows):

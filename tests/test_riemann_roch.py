@@ -1,13 +1,21 @@
+import json
 import random
+from pathlib import Path
 
-from ffjac.field import make_field
+import pytest
+
+from ffjac import riemann_roch
+from ffjac.field import FunctionField, make_field
+from ffjac.fieldgen import gen_random, gen_structured
 from ffjac.polys import Poly
 from ffjac.divisors import (Divisor, infinite_places, finite_places_above,
                             principal_divisor)
 from ffjac.orders import ideal_inv
-from helpers import find_finite_degree_one_place
+from helpers import find_finite_degree_one_place, genus_by_riemann_roch
 from ffjac.riemann_roch import (_inf_profile, finite_basis, rr_basis, rr_dim,
-                                ssrr_reduce, compute_genus, inf_inverse_ideal)
+                                ssrr_reduce, inf_inverse_ideal)
+
+BENCH_FIELDS = Path(__file__).resolve().parents[1] / "perfbench" / "fields"
 
 
 def elliptic5():
@@ -35,22 +43,74 @@ def test_pole_order_dims_genus_two():
     assert dims == [1, 1, 2, 2, 3, 4, 5, 6]
 
 
+def nodal5():
+    # y^2 = x^3 + x^2, a rational curve
+    return make_field(5, 2, [Poly([0, 0, -1, -1], 5), Poly([], 5)])
+
+
+def char2():
+    # y^2 + y = x^3 over F_2
+    return make_field(2, 2, [Poly([0, 0, 0, 1], 2), Poly([1], 2)])
+
+
+def cubic5():
+    # degree pattern (5, <=3, 2) in t^3 + a2 t^2 + a1 t + a0 forces genus 4
+    return make_field(5, 3, [Poly([1, 4, 3, 4, 1, 1], 5),
+                             Poly([4, 4, 1], 5), Poly([3, 4, 4], 5)])
+
+
 def test_genus_values():
-    assert compute_genus(elliptic5()) == 1
-    assert compute_genus(hyper7()) == 2
-    nodal = make_field(5, 2, [Poly([0, 0, -1, -1], 5), Poly([], 5)])
-    assert compute_genus(nodal) == 0
-    char2 = make_field(2, 2, [Poly([0, 0, 0, 1], 2), Poly([1], 2)])
-    assert compute_genus(char2) == 1
+    assert elliptic5().genus() == 1
+    assert hyper7().genus() == 2
+    assert nodal5().genus() == 0
+    assert char2().genus() == 1
 
 
 def test_genus_cubic_model():
-    # degree pattern (5, <=3, 2) in t^3 + a2 t^2 + a1 t + a0 forces genus 4
-    field = make_field(5, 3, [Poly([1, 4, 3, 4, 1, 1], 5),
-                              Poly([4, 4, 1], 5), Poly([3, 4, 4], 5)])
+    field = cubic5()
     assert len(infinite_places(field)) == 2
-    assert compute_genus(field) == 4
     assert field.genus() == 4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_genus_matches_riemann_roch_on_random_grid(p):
+    for n in (2, 3, 4):
+        for s in range(3):
+            field = gen_random(p, n, 2, seed=s)
+            assert field.genus() == genus_by_riemann_roch(field), (n, s)
+
+
+def test_genus_matches_riemann_roch_on_named_fields():
+    fields = [FunctionField.from_dict(json.loads(path.read_text()))
+              for path in sorted(BENCH_FIELDS.glob("*.json"))]
+    assert len(fields) == 3
+    fields += [elliptic5(), hyper7(), nodal5(), char2(), cubic5()]
+    fields += [gen_structured(32771, 2, 3, seed="acc:g2", exact_genus=True),
+               gen_structured(32771, 3, 2, seed="acc:g4", exact_genus=True),
+               gen_structured(32771, 3, 3, seed="acc:g7", exact_genus=True),
+               gen_structured(32771, 2, 11, seed="acc:g10",
+                              exact_genus=True),
+               gen_random(32771, 4, 3, seed="acc:g15", genus=15)]
+    with pytest.warns(UserWarning, match="genus 3"):
+        # below its family's genus 4
+        fields.append(gen_structured(5, 3, 2, seed="acc:q5"))
+    for field in fields:
+        assert field.genus() == genus_by_riemann_roch(field), field
+
+
+def test_field_check_and_genus_share_one_reduction(monkeypatch):
+    stored = cubic5().to_dict()
+    calls = []
+    reduce = riemann_roch.row_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(riemann_roch, "row_reduce", counting)
+    field = FunctionField.from_dict(stored)
+    assert field.genus() == 4
+    assert len(calls) == 1
 
 
 def test_riemann_equality_on_mixed_grid():
