@@ -2,10 +2,12 @@
 
 Module bases are stored as rows throughout (lists of rows of Poly): a
 lattice is the K[x]-row-span of its matrix, and _vm is the one
-vector-times-matrix product. The row-operation loops (hnf_square,
-row_reduce, in_lattice) take and return Poly rows but work in between on
-raw coefficient rows (lists of int64 arrays, see polys), and every row
-operation they make is the one update _sub_scaled, ra -= x^s * q * rb.
+vector-times-matrix product. The row-operation loops take and return
+Poly rows but work in between on raw rows: hnf_square and in_lattice on
+lists of int64 coefficient arrays (see polys), with the one update
+_sub_scaled, ra -= x^s * q * rb; row_reduce on packed rows, each entry
+one Python int holding a coefficient in every 64 bits, with its digits
+reduced mod p only when they could overflow.
 
 hnf_square brings a stack of rows of full column rank by unimodular row
 operations to H lower triangular, with monic pivots and every entry
@@ -262,13 +264,39 @@ def fp_solve(a: np.ndarray, rhs: np.ndarray, p: int):
     return x
 
 
-def _lead(row):
-    """(degree, leading position) of a raw row; a zero row has degree -1."""
-    d = lp = -1
-    for j, e in enumerate(row):
-        if e.size >= d:
-            d, lp = e.size, j
-    return d - 1, lp
+# row_reduce keeps every 64-bit digit of its packed entries below this,
+# so that no digit carries into the next
+_DIGIT_LIMIT = 1 << 63
+
+
+def _pack(e: Poly) -> int:
+    return int.from_bytes(e.c.astype("<i8", copy=False).tobytes(), "little")
+
+
+def _digits_mod(ents, p: int):
+    """(digits, sizes): the digits of the packed entries, reduced mod p,
+    end to end in one array, and each entry's number of digits."""
+    sizes = [(e.bit_length() + 63) >> 6 for e in ents]
+    buf = b"".join(e.to_bytes(s << 3, "little") for e, s in zip(ents, sizes))
+    return np.frombuffer(buf, "<u8") % p, sizes
+
+
+def _normalize(ents, p: int):
+    """The packed entries with every digit reduced mod p."""
+    digits, sizes = _digits_mod(ents, p)
+    buf = digits.astype("<u8", copy=False).tobytes()
+    out, pos = [], 0
+    for s in sizes:
+        out.append(int.from_bytes(buf[pos:pos + (s << 3)], "little"))
+        pos += s << 3
+    return out
+
+
+def _row_lead(degs):
+    """(degree, leading position) of a row from its entry degrees: the
+    rightmost column whose entry reaches the row degree."""
+    d = max(degs)
+    return d, len(degs) - 1 - degs[::-1].index(d)
 
 
 def row_reduce(rows, companion, p: int, threshold=None):
@@ -283,18 +311,48 @@ def row_reduce(rows, companion, p: int, threshold=None):
     nonsingular: the basis is then row-reduced, with the row degrees of
     every row-reduced basis of its span.
 
+    In between, every entry is one Python int, coefficient k in bits
+    [64k, 64k + 64) (Kronecker substitution), whose digits are reduced
+    mod p lazily (delayed reduction): the update is ra += m * x^s * rb
+    with m = p - c, one multiply, shift and add per nonzero entry of rb,
+    so digits only grow, and no digit carries into the next while all
+    stay below 2^63.  Each row has one bound on the digits of the row and
+    its companion row.  A pivot row whose bound has reached p is reduced
+    mod p (with its companion) before it is used, so its digits are the
+    residues themselves; the target row is reduced first when the update
+    could take its bound, plus m times the pivot's, to 2^63, which keeps
+    every p < 2^31 exact.  Each updated entry then drops its top digits
+    that are 0 mod p, so its top digit gives its degree and, mod p, its
+    leading coefficient.  The companion rows are reduced mod p on return.
+
     Returns (degs, companion, hit, steps): the row degrees, the updated
     companion rows, the index of a row whose degree reached threshold
     (short circuit, reduction left unfinished) or None, and the number
     of simple transformations.  Requires a nonsingular square input; a
     vanishing row raises.
     """
-    work, comp = _arrays(rows), _arrays(companion)
-    lead = [_lead(row) for row in work]
+    n = len(rows)
+    # row i and its companion row as one list: entries 0 .. n-1 are the
+    # row's, the rest the companion's, all with digits at most bound[i]
+    packed = [[_pack(e) for e in row + crow]
+              for row, crow in zip(rows, companion)]
+    bound = [p - 1] * n
+    ent = [[e.deg for e in row] for row in rows]  # entry degrees
+    lead = [_row_lead(row) for row in ent]
     steps = 0
 
     def done(hit):
-        return [d for d, _ in lead], _polys(comp, p), hit, steps
+        digits, sizes = _digits_mod([e for row in packed for e in row[n:]],
+                                    p)
+        digits = digits.astype(np.int64)
+        out, pos = [], 0
+        for s in sizes:
+            out.append(_mk(_trim(digits[pos:pos + s]), p))
+            pos += s
+        width = len(companion[0])
+        return ([d for d, _ in lead],
+                [out[r:r + width] for r in range(0, len(out), width)], hit,
+                steps)
 
     for i, (d, _) in enumerate(lead):
         if d < 0:
@@ -303,7 +361,7 @@ def row_reduce(rows, companion, p: int, threshold=None):
             return done(i)
 
     owner = {}  # leading position -> the row that holds it
-    for i in range(len(work)):
+    for i in range(n):
         while True:
             d, lp = lead[i]
             k = owner.setdefault(lp, i)
@@ -311,12 +369,30 @@ def row_reduce(rows, companion, p: int, threshold=None):
                 break
             if lead[k][0] > d:
                 owner[lp], i, k = i, k, i
-            shift = lead[i][0] - lead[k][0]
-            q = np.array([int(work[i][lp][-1])
-                          * _inv_mod(int(work[k][lp][-1]), p) % p])
-            _sub_scaled(work[i], work[k], q, p, shift)
-            _sub_scaled(comp[i], comp[k], q, p, shift)
-            new = _lead(work[i])
+            if bound[k] >= p:
+                packed[k] = _normalize(packed[k], p)
+                bound[k] = p - 1
+            ri, rk = packed[i], packed[k]
+            di, dk = lead[i][0], lead[k][0]
+            m = -(ri[lp] >> (di << 6)) * pow(rk[lp] >> (dk << 6), -1, p) % p
+            if bound[i] + m * bound[k] >= _DIGIT_LIMIT:
+                ri = packed[i] = _normalize(ri, p)
+                bound[i] = p - 1
+            bound[i] += m * bound[k]
+            shift = (di - dk) << 6
+            ei = ent[i]
+            for j in range(n):
+                if rk[j]:
+                    e = ri[j] + ((m * rk[j]) << shift)
+                    t = (e.bit_length() - 1) >> 6
+                    while t >= 0 and (e >> (t << 6)) % p == 0:
+                        e &= (1 << (t << 6)) - 1
+                        t = (e.bit_length() - 1) >> 6
+                    ri[j], ei[j] = e, t
+            for j in range(n, len(rk)):
+                if rk[j]:
+                    ri[j] += (m * rk[j]) << shift
+            new = _row_lead(ei)
             if new >= lead[i]:
                 raise ArithmeticError("(degree, leading position) did not "
                                       "drop; input singular?")

@@ -11,9 +11,9 @@ from ffjac.field import FFElem
 from ffjac.fieldgen import expected_structured_genus
 from ffjac.orders import (Ideal, _q_multiplicity, decompose_prime,
                           ideal_inv, ideal_mul, ideal_one)
-from ffjac.polymat import (bareiss_det, fp_rref, hnf_square,
-                           lower_tri_inverse)
-from ffjac.polys import Poly, poly_factor
+from ffjac.polymat import (_arrays, _polys, _sub_scaled, bareiss_det,
+                           fp_rref, hnf_square, lower_tri_inverse)
+from ffjac.polys import Poly, _inv_mod, poly_factor
 from ffjac.riemann_roch import rr_dim
 
 
@@ -163,3 +163,59 @@ def finite_support(div):
                     out.append((Place(div.field, True, pr), v))
     out.sort(key=lambda pv: pv[0].key())
     return out
+
+
+def _raw_lead(row):
+    """(degree, leading position) of a row of coefficient arrays; a zero
+    row has degree -1."""
+    d = lp = -1
+    for j, e in enumerate(row):
+        if e.size >= d:
+            d, lp = e.size, j
+    return d - 1, lp
+
+
+def row_reduce_arrays(rows, companion, p: int, threshold=None):
+    """polymat.row_reduce on coefficient arrays, every digit reduced mod p
+    at every update (one _sub_scaled per row and companion row): the same
+    simple transformations in the same order, so the same
+    (degs, companion, hit, steps)."""
+    work, comp = _arrays(rows), _arrays(companion)
+    lead = [_raw_lead(row) for row in work]
+    steps = 0
+
+    def done(hit):
+        return [d for d, _ in lead], _polys(comp, p), hit, steps
+
+    for i, (d, _) in enumerate(lead):
+        if d < 0:
+            raise ArithmeticError("zero row in row_reduce input")
+        if threshold is not None and d <= threshold:
+            return done(i)
+
+    owner = {}
+    for i in range(len(work)):
+        while True:
+            d, lp = lead[i]
+            k = owner.setdefault(lp, i)
+            if k == i:
+                break
+            if lead[k][0] > d:
+                owner[lp], i, k = i, k, i
+            shift = lead[i][0] - lead[k][0]
+            q = np.array([int(work[i][lp][-1])
+                          * _inv_mod(int(work[k][lp][-1]), p) % p])
+            _sub_scaled(work[i], work[k], q, p, shift)
+            _sub_scaled(comp[i], comp[k], q, p, shift)
+            new = _raw_lead(work[i])
+            if new >= lead[i]:
+                raise ArithmeticError("(degree, leading position) did not "
+                                      "drop; input singular?")
+            if new[0] < 0:
+                raise ArithmeticError("row vanished in row_reduce; input "
+                                      "singular")
+            lead[i] = new
+            steps += 1
+            if threshold is not None and new[0] <= threshold:
+                return done(i)
+    return done(None)

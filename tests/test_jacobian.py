@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,13 +6,15 @@ import random
 import pytest
 
 from ffjac.field import make_field, FFElem
+from ffjac.fieldgen import read_field
 from ffjac.polys import Poly, enumerate_monic_irreducibles
 from ffjac.divisors import (Divisor, infinite_places, finite_places_above,
                             principal_divisor)
 import ffjac.jacobian
-from ffjac.jacobian import JacobianCtx
+from ffjac.jacobian import JacobianCtx, random_class as random_jac_class
 from helpers import element_of_place
 from test_divisors import small_fields
+from test_orders import PERFBENCH_FIELDS
 
 
 def elliptic5():
@@ -170,6 +173,33 @@ def test_typical_addition_counters(monkeypatch):
     assert bin_steps == [[22, 17, 16], [21, 19, 16], [19, 15, 14]]
     bino.counters.reset()
     assert bino.counters.as_dict()["row_reduce_steps"] == 0
+
+
+# sha256 of (fin key, r, vec) along a 24-addition chain, recorded when
+# row_reduce still reduced every coefficient mod p at every update
+CHAIN_DIGESTS = {
+    "reduce-q7-g3":
+        "4e52395b4cb23a9796505d258568868e50c0d7eac56c25142d444d3382bd18ec",
+    "add-chain-g28":
+        "2e3c5dd4efa16d39826b280ae7fc95adc156a4677c33532a6ae022e8c059592d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_DIGESTS))
+def test_addition_chain_representatives_pinned(name):
+    # F_7 at genus 3 and F_32771 at genus 28: a Fibonacci chain
+    # d[k+1] = d[k-1] + d[k] from two random classes
+    field = read_field(PERFBENCH_FIELDS / (name + ".json"))[0]
+    ctx = JacobianCtx(field)
+    rng = random.Random("pinned-chain")
+    chain = [random_jac_class(ctx, rng), random_jac_class(ctx, rng)]
+    for _ in range(24):
+        chain.append(ctx.add(chain[-2], chain[-1]))
+    digest = hashlib.sha256()
+    for x in chain:
+        digest.update(x.fin.key())
+        digest.update(repr((x.r, x.vec)).encode())
+    assert digest.hexdigest() == CHAIN_DIGESTS[name]
 
 
 def test_warm_start_answers_as_a_cold_start(monkeypatch):

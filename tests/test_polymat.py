@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from ffjac import polymat
 from ffjac.polys import Poly
 from ffjac.polymat import (
     bareiss_det,
@@ -14,7 +16,7 @@ from ffjac.polymat import (
     scalar_rows,
 )
 
-from helpers import fp_kernel, leading_matrix
+from helpers import fp_kernel, leading_matrix, row_reduce_arrays
 
 P = 32771
 # above polys._CONV_LIMIT: every product takes the Kronecker path
@@ -288,6 +290,117 @@ def test_row_reduce_rejects_singular_input():
     # the second row is x times the first, and vanishes
     with pytest.raises(ArithmeticError, match="vanished"):
         row_reduce([[x, one], [x * x, x]], identity(2, p), p)
+
+
+def long_reduction(rng, p, n, dmax):
+    """U * B with U unimodular of entry degree about dmax and B of low
+    degree: the row degrees start near dmax and end near those of B, so
+    the reduction makes many steps (hundreds at n = 5 and 7)."""
+    u = identity(n, p)
+    while max(row_degrees(u)) < dmax:
+        i, j = rng.sample(range(n), 2)
+        q = rand_poly(rng, p, 3)
+        u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+    return mat_mul(u, rand_matrix(rng, p, n, n, 2), p)
+
+
+def assert_same_reduction(rows, companion, p, threshold=None):
+    """row_reduce and the array-based oracle agree, raising included;
+    returns the result, or None on a singular input."""
+    try:
+        want = row_reduce_arrays(rows, companion, p, threshold)
+    except ArithmeticError as exc:
+        with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
+            row_reduce(rows, companion, p, threshold)
+        return None
+    got = row_reduce(rows, companion, p, threshold)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 32771, BIG])
+def test_row_reduce_matches_array_oracle(p):
+    rng = random.Random("row_reduce oracle %d" % p)
+    done = most = 0
+    for case in range(12):
+        n = 2 + case % 6
+        if case % 2:
+            rows = long_reduction(rng, p, n, rng.randrange(10, 41))
+        else:
+            rows = rand_matrix(rng, p, n, n, rng.randrange(1, 41))
+        comp = rand_matrix(rng, p, n, n, 3)
+        full = assert_same_reduction(rows, comp, p)
+        if full is None:
+            continue
+        done += 1
+        most = max(most, full[3])
+        # a threshold between the final and the starting row degrees stops
+        # the reduction part way
+        mid = (min(full[0]) + max(row_degrees(rows))) // 2
+        assert_same_reduction(rows, comp, p, mid)
+    assert done >= 10
+    assert most >= 100
+
+
+def test_row_reduce_strips_top_digits_zero_mod_p():
+    # (a) p = 3: the update x^2 + 2 * x * x leaves the top digit 3, which
+    # is 0 mod p but not 0, and the degree must drop past it; the second
+    # entry's top digit 3 goes the same way, leaving the constant 1
+    p = 3
+    x, one, z = Poly.x(p), Poly.one(p), Poly.zero(p)
+    rows = [[x * x, x + one], [x, one]]
+    degs, comp, hit, steps = assert_same_reduction(rows, identity(2, p), p)
+    assert (degs, hit, steps) == ([0, 1], None, 1)
+    assert comp == [[one, x.scale(-1)], [z, one]]
+    # p = 2: x^2 + x + x * (x + 1) has the digits 0, 2, 2, all 0 mod p, so
+    # the entry vanishes
+    p = 2
+    x, one, z = Poly.x(p), Poly.one(p), Poly.zero(p)
+    rows = [[x * x + x, one], [x + one, z]]
+    degs, comp, _, steps = assert_same_reduction(rows, identity(2, p), p)
+    assert (degs, steps) == ([0, 1], 1)
+    assert comp == [[one, x], [z, one]]
+
+
+def test_row_reduce_normalizes_target_rows_near_2_63(monkeypatch):
+    # (b) p = 2^31 - 1: m * digit is up to about 2^62, so a row that keeps
+    # losing multiples of the same pivot reaches 2^63 within a few updates
+    # and is reduced mod p in between.  Each of the 30 updates adds to up
+    # to 31 digits of the target's first entry, so without those
+    # reductions its middle digits would carry past 2^64
+    rng = random.Random(53)
+    x = Poly.x(BIG)
+    calls = []
+    real = polymat._normalize
+
+    def normalize(ents, p):
+        calls.append(len(ents))
+        return real(ents, p)
+
+    monkeypatch.setattr(polymat, "_normalize", normalize)
+    pivot = Poly([rng.randrange(1, BIG) for _ in range(30)] + [1], BIG)
+    target = x ** 80 + Poly([rng.randrange(BIG) for _ in range(80)], BIG)
+    rows = [[target, Poly.one(BIG)], [pivot, Poly.one(BIG)]]
+    degs, _, _, steps = assert_same_reduction(rows, identity(2, BIG), BIG)
+    assert degs == [50, 30] and steps == 30
+    # the pivot row is never updated, so every call is for the target row
+    # (with its companion): at least once every four updates
+    assert len(calls) >= steps // 4
+
+
+def test_row_reduce_normalizes_pivots_past_p():
+    # (c) row 1 loses (p - a) times row 0, so its constant entry holds the
+    # digit d + (p - a) * c, about 2^58; then row 1 is the pivot of row 2,
+    # whose update would multiply that digit by about p again, past 2^64,
+    # unless row 1 is reduced first
+    p = BIG
+    x, one, z = Poly.x(p), Poly.one(p), Poly.zero(p)
+    c, d, a, e = 123456789, 987654321, 5, 7
+    rows = [[Poly([c], p), z, x],
+            [x + Poly([d], p), z, x.scale(a)],
+            [x.scale(e) * x, one, one]]
+    degs, _, _, steps = assert_same_reduction(rows, identity(3, p), p)
+    assert sorted(degs) == [0, 1, 1] and steps >= 2
 
 
 def test_lower_tri_inverse():
