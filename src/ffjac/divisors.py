@@ -15,7 +15,7 @@ from .orders import (
     ideal_one,
     principal_ideal,
 )
-from .polymat import _vm, in_lattice, scalar_rows
+from .polymat import _unpack, _vm, in_lattice, scalar_rows
 from .polys import Poly, _int_list, poly_gcd, poly_is_irreducible
 
 
@@ -95,7 +95,7 @@ def infinite_coords(field, elem):
             cnum.append(c.reverse(m + dden - e * i))
     cden = den.reverse(dden + m)
     ginv, det = oi.tri_inverse()
-    v = [t * oi.den for t in _vm(cnum, ginv, p)]
+    v = [t * oi.den for t in _unpack(_vm(cnum, ginv, p), p)]
     dtot = cden * det
     g = dtot
     for t in v:

@@ -27,6 +27,8 @@ import random
 import numpy as np
 
 from .polymat import (
+    _pack,
+    _unpack,
     _vm,
     bareiss_det,
     fp_solve,
@@ -106,8 +108,8 @@ class Order:
     denominator: the i-th basis element is (1/den) * sum_j basis[i][j] t^j.
     """
 
-    __slots__ = ("field", "basis", "den", "one_coords", "_table", "_decomp",
-                 "_radicals", "_key", "_tri")
+    __slots__ = ("field", "basis", "den", "one_coords", "_table", "_packed",
+                 "_decomp", "_radicals", "_key", "_tri")
 
     def __init__(self, field, rows, den: Poly):
         p = field.p
@@ -121,6 +123,7 @@ class Order:
             raise ArithmeticError("lattice does not contain 1")
         self.one_coords = one
         self._table = None
+        self._packed = None
         self._decomp = {}
         # q-radicals left by round two, until decomposition above q reads them
         self._radicals = {}
@@ -151,9 +154,11 @@ class Order:
         return (self.den ** self.n).exact_div(self.det())
 
     def tri_inverse(self):
-        """(G, d) with G * basis = d * Id, d the basis determinant."""
+        """(G, d) with G * basis = d * Id, d the basis determinant, and G
+        with packed entries (see polymat)."""
         if self._tri is None:
-            self._tri = lower_tri_inverse(self.basis, self.p)
+            g, d = lower_tri_inverse(self.basis, self.p)
+            self._tri = [[_pack(e) for e in row] for row in g], d
         return self._tri
 
     # -- multiplication table ------------------------------------------
@@ -176,9 +181,13 @@ class Order:
         return self._table
 
     def elem_mul_matrix(self, v):
-        """Rows: coordinates of (basis element a) * (element with coords v)."""
-        T = self.table()
-        return [_vm(v, T[a], self.p) for a in range(self.n)]
+        """Rows: coordinates of (basis element a) * (element with coords v),
+        packed (see polymat), from the table packed once."""
+        if self._packed is None:
+            self._packed = [[[_pack(e) for e in c] for c in row]
+                            for row in self.table()]
+        v = [_pack(e) for e in v]
+        return [_vm(v, t, self.p) for t in self._packed]
 
     # -- coordinate conversion -------------------------------------------
 
@@ -384,7 +393,8 @@ class PrimeIdeal(Ideal):
         and steps one power at a time beyond them, so the memo grows to at
         most one power past the valuation.
         """
-        if all(e.is_zero() for e in c):
+        c = [_pack(e) for e in c]
+        if not any(c):
             raise ZeroDivisionError("valuation of zero")
         if not self._in_power(c, 1):
             return 0
@@ -491,9 +501,11 @@ def _dedekind_q_maximal(field, q: Poly) -> bool:
 def _pow_coords_mod(order: Order, v, e: int, q: Poly, table):
     """v^e mod q in coordinates; table is order.table() reduced mod q."""
     p = order.p
+    table = [[[_pack(e) for e in c] for c in row] for row in table]
 
     def mul(a, b):
-        return _vec_mod(_vm(a, [_vm(b, row, p) for row in table], p), q)
+        return _vec_mod(_unpack(_vm(a, [_vm(b, row, p) for row in table], p),
+                                p), q)
 
     result = _vec_mod(order.one_coords, q)
     base = _vec_mod(v, q)
@@ -627,11 +639,12 @@ def _decompose_radical_split(order: Order, q: Poly):
 
         z = [Poly([rng.randrange(p) for _ in range(h[j][j].deg)], p)
              for j in range(n)]
-        m = [_reduce_mod_lattice(row, h) for row in order.elem_mul_matrix(z)]
+        m = [[_pack(e) for e in _reduce_mod_lattice(_unpack(row, p), h)]
+             for row in order.elem_mul_matrix(z)]
         pows = [_reduce_mod_lattice(order.one_coords, h)]
         flats = [flat(pows[0])]
         while True:
-            cur = _reduce_mod_lattice(_vm(pows[-1], m, p), h)
+            cur = _reduce_mod_lattice(_unpack(_vm(pows[-1], m, p), p), h)
             dep = fp_solve(np.array(flats), flat(cur), p)
             if dep is not None:
                 break

@@ -1,37 +1,29 @@
 """Matrices over K[x] (K = F_p): HNF, row reduction, determinants.
 
-Module bases are stored as rows throughout (lists of rows of Poly): a
-lattice is the K[x]-row-span of its matrix, and _vm is the one
-vector-times-matrix product. The row-operation loops take and return
-Poly rows but work in between on raw rows: hnf_square and in_lattice on
-lists of int64 coefficient arrays (see polys), with the one update
-_sub_scaled, ra -= x^s * q * rb; row_reduce on packed rows, each entry
-one Python int holding a coefficient in every 64 bits, with its digits
-reduced mod p only when they could overflow.
+A lattice is the K[x]-row-span of its matrix, stored as rows.  The
+kernels (_vm, the one vector-times-matrix product, hnf_square, in_lattice
+and row_reduce) take Poly or packed entries and compute on packed ones:
+one Python int per polynomial, coefficient k in bits [64k, 64k + 64)
+(Kronecker substitution).  They hand each other Packed entries, every
+digit reduced mod p, so the products of the cached multiplication
+tables reach hnf_square with no Poly in between.  Inside a kernel an
+update only adds (c * e, c = p - c', for a subtraction of c' * e), each
+row keeps a bound on its digits, and a row is reduced mod p (_normalize)
+only when the next update could take a digit to 2^63, so none carries.
 
-hnf_square brings a stack of rows of full column rank by unimodular row
-operations to H lower triangular, with monic pivots and every entry
-below a pivot (same column) of degree strictly less than that pivot,
-which makes H a canonical representative of the row span.  Every colon
-ideal is a dual lattice (see orders._dual): hnf_square of its conditions
-with the columns reversed, inverted by lower_tri_inverse and read back to
-front, gives the dual a lower-triangular basis, whose HNF needs no gcd
-chain.  Each column is cleared by a pairwise gcd chain (Euclid on two
-entries at a time, smallest first).  A caller that knows a polynomial D
-with D * K[x]^n inside the row span passes it as mod: the entries are
-then kept reduced mod D, which stops them growing, and the HNF is the
-same. row_reduce brings a square matrix to weak Popov form by simple
-transformations, one row update each, which exposes the row degrees that
-the Riemann-Roch searches compare against.  Over F_p itself there is one
-solver, fp_solve (on fp_rref): prime decomposition finds the minimal
-polynomial of an element with it.
+hnf_square gives the canonical basis of a row span by a pairwise gcd
+chain per column, modulo D when the caller knows D * K[x]^n inside the
+span; a dual lattice (orders._dual) needs no gcd chain.  row_reduce
+brings a square matrix to weak Popov form, exposing the row degrees the
+Riemann-Roch searches compare against.  fp_solve (on fp_rref) works over
+F_p, for the minimal polynomials of prime decomposition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .polys import _ZERO, Poly, _divmod_arr, _inv_mod, _mk, _mul_arr, _trim
+from .polys import Poly, _inv_mod, _mk, _trim
 
 
 def mat_key(rows) -> bytes:
@@ -44,18 +36,82 @@ def mat_key(rows) -> bytes:
     return b"".join(parts)
 
 
-def _vm(v, rows, p: int):
-    """Vector times matrix over K[x]."""
-    width = len(rows[0])
-    out = [Poly.zero(p)] * width
-    for i, c in enumerate(v):
-        if c.is_zero():
-            continue
-        row = rows[i]
-        for j in range(width):
-            if not row[j].is_zero():
-                out[j] = out[j] + c * row[j]
+# -- packed entries ---------------------------------------------------------
+
+# every 64-bit digit of a packed entry stays below this: none carries
+_DIGIT_LIMIT = 1 << 63
+
+
+class Packed(int):
+    """A packed polynomial with every digit reduced mod p: its top digit is
+    its leading coefficient, and its length gives its degree."""
+
+    __slots__ = ()
+
+    @property
+    def deg(self) -> int:
+        return (self.bit_length() - 1) >> 6
+
+
+def _pack(e) -> int:
+    """A Poly as one packed int; a packed entry as it is."""
+    if isinstance(e, Poly):
+        return int.from_bytes(e.c.astype("<i8", copy=False).tobytes(),
+                              "little")
+    return e
+
+
+def _digits_mod(ents, p: int):
+    """(digits, sizes): the digits of the packed entries, reduced mod p,
+    end to end in one array, and each entry's number of digits."""
+    sizes = [(e.bit_length() + 63) >> 6 for e in ents]
+    buf = b"".join(e.to_bytes(s << 3, "little") for e, s in zip(ents, sizes))
+    return np.frombuffer(buf, "<u8") % p, sizes
+
+
+def _normalize(ents, p: int):
+    """The packed entries with every digit reduced mod p, as Packed."""
+    digits, sizes = _digits_mod(ents, p)
+    buf = digits.astype("<u8", copy=False).tobytes()
+    out, pos = [], 0
+    for s in sizes:
+        out.append(Packed.from_bytes(buf[pos:pos + (s << 3)], "little"))
+        pos += s << 3
     return out
+
+
+def _unpack(ents, p: int, sign: int = 1):
+    """sign times each packed entry, as a Poly."""
+    digits, sizes = _digits_mod(ents, p)
+    digits = digits.astype(np.int64)
+    if sign < 0:
+        digits = -digits % p
+    out, pos = [], 0
+    for s in sizes:
+        out.append(_mk(_trim(digits[pos:pos + s]), p))
+        pos += s
+    return out
+
+
+def _strip(e: int, p: int) -> int:
+    """e without its top digits that are 0 mod p, so that its top digit
+    gives its degree and, mod p, its leading coefficient."""
+    t = (e.bit_length() - 1) >> 6
+    while t >= 0 and (e >> (t << 6)) % p == 0:
+        e &= (1 << (t << 6)) - 1
+        t = (e.bit_length() - 1) >> 6
+    return e
+
+
+def _vm(v, rows, p: int):
+    """v times the rows over K[x], as Packed entries (v Poly or packed,
+    rows packed; see _add_product for the digit bounds)."""
+    out = [0] * len(rows[0])
+    bound = 0
+    for c, row in zip(v, rows):
+        bound = _add_product(out, bound, _pack(c), p - 1, row, p - 1,
+                             None, p)
+    return _normalize(out, p)
 
 
 def scalar_rows(c: Poly, n: int):
@@ -65,164 +121,181 @@ def scalar_rows(c: Poly, n: int):
 
 
 def mat_mul(a, b, p: int):
-    """Raw row-list product."""
-    return [_vm(row, b, p) for row in a]
+    """Row-list product, as Poly rows."""
+    b = [[_pack(e) for e in row] for row in b]
+    flat = _unpack([e for row in a for e in _vm(row, b, p)], p)
+    w = len(b[0])
+    return [flat[i:i + w] for i in range(0, len(flat), w)]
 
 
-def _arrays(rows):
-    return [[e.c for e in row] for row in rows]
+# -- HNF ----------------------------------------------------------------------
 
 
-def _polys(rows, p: int):
-    return [[_mk(e, p) for e in row] for row in rows]
+def _add_product(ri, bi, q, qb, rk, bk, j, p: int):
+    """ri[t] += q * rk[t] for every t but j (all packed); bi, qb and bk
+    (below p) bound the digits of ri, q and rk, and each digit of q adds
+    at most qb * bk.  Where that could reach 2^63, ri is reduced mod p,
+    then q; a q with more digits than one product of reduced operands can
+    take (fewer than about 2^30 only for p near 2^31) goes a piece at a
+    time.  Returns the new bi."""
+    lo = 0
+    while q:
+        k = (q.bit_length() + 63) >> 6
+        piece = q
+        if bi + k * qb * bk >= _DIGIT_LIMIT:
+            ri[:], bi = _normalize(ri, p), p - 1
+            if bi + k * qb * bk >= _DIGIT_LIMIT and qb >= p:
+                q = piece = _normalize([q], p)[0]
+                qb = p - 1
+            span = (_DIGIT_LIMIT - 1 - bi) // (qb * bk)
+            if k > span:
+                k = span
+                piece = q & ((1 << (k << 6)) - 1)
+        for t, e in enumerate(rk):
+            if e and t != j:
+                ri[t] += (piece * e) << (lo << 6)
+        bi += k * qb * bk
+        q >>= k << 6
+        lo += k
+    return bi
 
 
-def _sub_scaled(ra, rb, q, p: int, shift: int = 0):
-    """Row update ra -= x^shift * q * rb on raw coefficient rows, in place
-    on the list ra (its arrays are replaced, never written)."""
-    for j, b in enumerate(rb):
-        if not b.size:
-            continue
-        prod = _mul_arr(q, b, p)
-        a = ra[j]
-        end = prod.size + shift
-        if a.size >= end:
-            out = a.copy()
-        else:
-            out = np.zeros(end, dtype=np.int64)
-            out[:a.size] = a
-        out[shift:end] = (out[shift:end] - prod) % p
-        ra[j] = _trim(out)
+def _divide(ri, bi, rk, bk, j, p: int):
+    """ri += q * rk, q minus the quotient of ri[j] by rk[j] (both nonzero,
+    rk[j] stripped), leaving the remainder in ri[j], stripped; bi and bk
+    bound the digits of ri and rk, and rk is reduced mod p first if bk
+    has reached p.  q comes from ri[j] alone: ri[j] times minus the
+    inverse of a constant rk[j], else one simple transformation per digit
+    m, which adds at most m * bk to ri[j], reduced mod p first when that
+    could reach 2^63.  The rest of ri takes q at once (_add_product).
+    Returns (q, bi, bk), the bounds updated."""
+    if bk >= p:
+        rk[:], bk = _normalize(rk, p), p - 1
+    b = rk[j]
+    db = (b.bit_length() - 1) >> 6
+    inv = pow(b >> (db << 6), -1, p)
+    a, ab = ri[j], bi
+    if db == 0:
+        if ab * (p - inv) >= _DIGIT_LIMIT:
+            a, ab = _normalize([a], p)[0], p - 1
+        q, qb, a = a * (p - inv), ab * (p - inv), 0
+    else:
+        q, qb = 0, p - 1
+        while True:
+            da = (a.bit_length() - 1) >> 6
+            if da < db:
+                break
+            m = -(a >> (da << 6)) * inv % p
+            if ab + m * bk >= _DIGIT_LIMIT:
+                a, ab = _normalize([a], p)[0], p - 1
+            s = (da - db) << 6
+            a = _strip((a + ((m * b) << s)) & ((1 << (da << 6)) - 1), p)
+            q += m << s
+            ab += m * bk
+    ri[j] = a
+    return q, _add_product(ri, max(bi, ab), q, qb, rk, bk, j, p), bk
 
 
-def _rev_inverse(dc, p: int):
-    """The power series inverse, modulo x^d, of the reversal of the monic
-    coefficient array dc of degree d (Newton iteration)."""
-    d = dc.size - 1
-    rev = dc[::-1]
-    g = np.ones(1, dtype=np.int64)
-    prec = 1
-    while prec < d:
-        prec = min(2 * prec, d)
-        err = _mul_arr(rev[:prec], g, p)[:prec]
-        err[0] -= 1
-        corr = _mul_arr(g, err, p)[:prec]
-        nxt = np.zeros(prec, dtype=np.int64)
-        nxt[:g.size] = g
-        nxt[:corr.size] -= corr
-        g = nxt % p
-    return g
+def _rem_row(row, bound, dmod, d: int, p: int):
+    """Reduce the entries of row of degree d or more mod the monic packed
+    D of degree d, each by a _divide of its own; returns the new bound."""
+    out = bound
+    for t, e in enumerate(row):
+        if e.bit_length() > d << 6:
+            ent = [e]
+            out = max(out, _divide(ent, bound, [dmod], p - 1, 0, p)[1])
+            row[t] = ent[0]
+    return out
 
 
-def _rem_arr(a, dc, dinv, p: int):
-    """a mod the monic dc of degree d, dinv = _rev_inverse(dc, p).  One
-    excess coefficient, the common case after a row update, is one
-    subtraction; more are reduced 2d coefficients at a time through one
-    quotient from the precomputed inverse (two products)."""
-    d = dc.size - 1
-    if d == 0:
-        return _ZERO
-    while a.size > d:
-        if a.size == d + 1:
-            return _trim((a[:d] - a[d] * dc[:d]) % p)
-        lo = max(a.size - 2 * d, 0)
-        top = a[lo:]
-        m = top.size - d
-        # the quotient, reversed, is rev(top) * dinv mod x^m
-        q = _mul_arr(top[:d - 1:-1], dinv[:m], p)[m - 1::-1]
-        r = (top[:d] - _mul_arr(q, dc, p)[:d]) % p
-        a = _trim(np.concatenate((a[:lo], r)))
-    return a
-
-
-def _fold(active, best, i, j, p: int, rem_row):
-    """Euclid on the column-j entries of the rows active[best] and
-    active[i] by row updates (each row reduced by rem_row after its
-    update, if given); returns the index of the row left holding their
+def _fold(active, best, i, j, p: int, bound, dmod, d):
+    """Euclid on the column-j entries of active[best] and active[i] (each
+    updated row then reduced mod D if dmod is given, bound holding the
+    rows' digit bounds); returns the index of the row left holding their
     gcd, the other entry being zero."""
-    while active[i][j].size:
-        q = _divmod_arr(active[i][j], active[best][j], p)[0]
-        _sub_scaled(active[i], active[best], q, p)
-        if rem_row is not None:
-            active[i] = rem_row(active[i])
-        if active[i][j].size:
+    while active[i][j]:
+        _, bound[i], bound[best] = _divide(active[i], bound[i], active[best],
+                                           bound[best], j, p)
+        if dmod is not None:
+            bound[i] = _rem_row(active[i], bound[i], dmod, d, p)
+        if active[i][j]:
             best, i = i, best
     return best
 
 
 def hnf_square(rows, p: int, mod: Poly = None):
-    """HNF of a lattice spanned by rows with full column rank n: the
-    nonsingular lower-triangular n x n basis with monic pivots and every
-    entry below a pivot (same column) reduced mod the pivot.  Raises
-    ArithmeticError at the first column with no pivot.  Inner loops run
-    on raw coefficient arrays; Poly wrappers are restored at the end.
+    """HNF of a lattice spanned by rows (Poly or packed) with full column
+    rank n: the lower-triangular n x n basis with monic pivots and every
+    entry below a pivot reduced mod the pivot, as Poly.  Raises
+    ArithmeticError at the first column with no pivot.  Columns are
+    cleared right to left by a pairwise gcd chain: the column's nonzero
+    entries in increasing degree, each folded into the smallest by
+    Euclid on that pair alone.
 
-    Columns are cleared right to left by a pairwise gcd chain: the
-    nonzero entries of the column are taken in increasing degree, and
-    each is folded into the smallest by Euclid on that pair alone, so a
-    unit pivot clears the column in one update per row.
+    Digit bounds: each row has one, p - 1 for the input.  A Euclid step
+    ri += q * rk (_divide) first reduces rk mod p if its bound has
+    reached p; each digit m of q then adds at most m * (p - 1), as does a
+    step mod D, and a row is reduced mod p only when a step could take
+    its bound to 2^63: exact for every p < 2^31.  Column entries drop
+    their top digits that are 0 mod p.
 
-    mod, when given, is a nonzero polynomial D with D * K[x]^n inside the
-    row span (Cohen, GTM 138, 2.4.3: HNF modulo D).  Entries are then
-    kept reduced mod D, and once the entries of column j are folded into
-    one row w, the row D * e_j, whose entry is the largest, is folded in
-    last: its Euclid steps are the extended gcd g of w_j and D, and they
-    leave the pivot row (entry g) and the cofactor row (D / g) * w mod D,
-    up to a unit.  Those two rows span what w and D * e_j span, so H is
-    the HNF of the rows for any such D, not only for a multiple of the
-    determinant, and every column has a pivot.  A unit w_j needs no such
-    step, as its cofactor is zero.
+    mod, when given, is a nonzero D with D * K[x]^n inside the row span
+    (Cohen, GTM 138, 2.4.3: HNF modulo D).  Entries are kept reduced mod
+    D, and once column j is folded into one row w, the row D * e_j is
+    folded in last, leaving the pivot row (entry gcd(w_j, D)) and the
+    cofactor row, which span what w and D * e_j span: H is the HNF for
+    any such D, and every column has a pivot (a unit w_j needs no fold).
     """
-    active = _arrays(rows)  # rows with no pivot yet
+    active = [[_pack(e) for e in row] for row in rows]  # no pivot yet
     n = len(active[0])
-    rem_row = None
+    bound = [p - 1] * len(active)
+    dmod = d = None
     if mod is not None:
-        dc = mod.monic().c
-        d = dc.size - 1
-        dinv = _rev_inverse(dc, p)
-
-        def rem_row(row):
-            return [e if e.size <= d else _rem_arr(e, dc, dinv, p)
-                    for e in row]
-
-        active = [rem_row(row) for row in active]
+        dmod, d = _pack(mod.monic()), mod.deg
+        for i, row in enumerate(active):
+            bound[i] = _rem_row(row, bound[i], dmod, d, p)
 
     # columns right to left; the pivot rows are collected bottom up
     done = []
     for j in range(n - 1, -1, -1):
-        cand = sorted((i for i, row in enumerate(active) if row[j].size),
-                      key=lambda i: (active[i][j].size, i))
+        for row in active:
+            row[j] = _strip(row[j], p)
+        cand = sorted((i for i, row in enumerate(active) if row[j]),
+                      key=lambda i: (active[i][j].bit_length(), i))
         best = cand[0] if cand else None
         for i in cand[1:]:
-            best = _fold(active, best, i, j, p, rem_row)
-        if mod is not None and (best is None or active[best][j].size > 1):
-            active.append([_ZERO] * j + [dc] + [_ZERO] * (n - 1 - j))
+            best = _fold(active, best, i, j, p, bound, dmod, d)
+        if mod is not None and (best is None
+                                or active[best][j].bit_length() > 64):
+            active.append([0] * j + [dmod] + [0] * (n - 1 - j))
+            bound.append(p - 1)
             last = len(active) - 1
             best = last if best is None else _fold(active, best, last, j, p,
-                                                   rem_row)
+                                                   bound, dmod, d)
         if best is None:
             raise ArithmeticError("lattice does not have full column rank")
-        w = active[best]
-        active[best] = active[-1]
+        w, wb = active[best], bound[best]
+        active[best], bound[best] = active[-1], bound[-1]
         active.pop()
-        lc = int(w[j][-1])
-        if lc != 1:
-            inv = _inv_mod(lc, p)
-            w = [(e * inv) % p for e in w]
-        done.append(w)
+        bound.pop()
+        e = w[j]
+        inv = pow(e >> (((e.bit_length() - 1) >> 6) << 6), -1, p)
+        if inv != 1:
+            if wb * inv >= _DIGIT_LIMIT:
+                w, wb = _normalize(w, p), p - 1
+            w, wb = [e * inv for e in w], wb * inv
+        done.append((w, wb))
 
-    # row t has its pivot in column t; any rows left over are zero.
-    # Reduce the entries below each pivot mod the pivot, rows top down and
-    # within a row right to left, so finished entries are never touched
-    # again
-    h = done[::-1]
+    # row t has its pivot in column t (rows left over are zero); reduce
+    # below the pivots, rows top down and each right to left
+    h, hb = map(list, zip(*done[::-1]))
     for t in range(n):
         for s in range(t - 1, -1, -1):
-            e = h[t][s]
-            if e.size >= h[s][s].size:
-                q = _divmod_arr(e, h[s][s], p)[0]
-                _sub_scaled(h[t], h[s], q, p)
-    return _polys(h, p)
+            h[t][s] = _strip(h[t][s], p)
+            if h[t][s].bit_length() > ((h[s][s].bit_length() - 1) >> 6) << 6:
+                _, hb[t], hb[s] = _divide(h[t], hb[t], h[s], hb[s], s, p)
+    flat = _unpack([e for row in h for e in row], p)
+    return [flat[i:i + n] for i in range(0, n * n, n)]
 
 
 def fp_rref(mat: np.ndarray, p: int):
@@ -264,32 +337,7 @@ def fp_solve(a: np.ndarray, rhs: np.ndarray, p: int):
     return x
 
 
-# row_reduce keeps every 64-bit digit of its packed entries below this,
-# so that no digit carries into the next
-_DIGIT_LIMIT = 1 << 63
-
-
-def _pack(e: Poly) -> int:
-    return int.from_bytes(e.c.astype("<i8", copy=False).tobytes(), "little")
-
-
-def _digits_mod(ents, p: int):
-    """(digits, sizes): the digits of the packed entries, reduced mod p,
-    end to end in one array, and each entry's number of digits."""
-    sizes = [(e.bit_length() + 63) >> 6 for e in ents]
-    buf = b"".join(e.to_bytes(s << 3, "little") for e, s in zip(ents, sizes))
-    return np.frombuffer(buf, "<u8") % p, sizes
-
-
-def _normalize(ents, p: int):
-    """The packed entries with every digit reduced mod p."""
-    digits, sizes = _digits_mod(ents, p)
-    buf = digits.astype("<u8", copy=False).tobytes()
-    out, pos = [], 0
-    for s in sizes:
-        out.append(int.from_bytes(buf[pos:pos + (s << 3)], "little"))
-        pos += s << 3
-    return out
+# -- row reduction -----------------------------------------------------------
 
 
 def _row_lead(degs):
@@ -301,40 +349,27 @@ def _row_lead(degs):
 
 def row_reduce(rows, companion, p: int, threshold=None):
     """Row reduction to weak Popov form by simple transformations
-    (Mulders and Storjohann, JSC 35, 2003).
+    (Mulders and Storjohann, JSC 35, 2003): while two rows share a leading
+    position (the rightmost column reaching the row degree), the row of
+    higher degree, and its companion row, lose c * x^(d_i - d_k) times
+    the other, cancelling its leading entry.  Distinct leading positions
+    leave the basis row-reduced, with the row degrees of its span.
 
-    A row's leading position is the rightmost column whose entry reaches
-    the row degree.  While two rows share one, the row of higher degree
-    loses c * x^(d_i - d_k) times the other, which cancels its leading
-    entry, and its companion row the same multiple of the other's.
-    Distinct leading positions make the leading-row-coefficient matrix
-    nonsingular: the basis is then row-reduced, with the row degrees of
-    every row-reduced basis of its span.
+    An update is ra += m * x^s * rb on packed entries, m = p - c.  A pivot
+    row whose bound (one per row and companion) has reached p is reduced
+    mod p first; so is the target when the update could take its bound
+    to 2^63.  Updated entries drop their top digits that are 0 mod p.
 
-    In between, every entry is one Python int, coefficient k in bits
-    [64k, 64k + 64) (Kronecker substitution), whose digits are reduced
-    mod p lazily (delayed reduction): the update is ra += m * x^s * rb
-    with m = p - c, one multiply, shift and add per nonzero entry of rb,
-    so digits only grow, and no digit carries into the next while all
-    stay below 2^63.  Each row has one bound on the digits of the row and
-    its companion row.  A pivot row whose bound has reached p is reduced
-    mod p (with its companion) before it is used, so its digits are the
-    residues themselves; the target row is reduced first when the update
-    could take its bound, plus m times the pivot's, to 2^63, which keeps
-    every p < 2^31 exact.  Each updated entry then drops its top digits
-    that are 0 mod p, so its top digit gives its degree and, mod p, its
-    leading coefficient.  The companion rows are reduced mod p on return.
-
-    Returns (degs, companion, hit, steps): the row degrees, the updated
-    companion rows, the index of a row whose degree reached threshold
-    (short circuit, reduction left unfinished) or None, and the number
-    of simple transformations.  Requires a nonsingular square input; a
-    vanishing row raises.
+    rows hold Poly or Packed entries, companion Poly or packed ones.
+    Returns (degs, companion, hit, steps): the row degrees, the companion
+    rows (Poly for a Poly companion, else Packed), the index of a row
+    whose degree reached threshold (reduction left unfinished) or None,
+    and the number of simple transformations.  A singular input raises.
     """
     n = len(rows)
     # row i and its companion row as one list: entries 0 .. n-1 are the
     # row's, the rest the companion's, all with digits at most bound[i]
-    packed = [[_pack(e) for e in row + crow]
+    packed = [[_pack(e) for e in [*row, *crow]]
               for row, crow in zip(rows, companion)]
     bound = [p - 1] * n
     ent = [[e.deg for e in row] for row in rows]  # entry degrees
@@ -342,16 +377,12 @@ def row_reduce(rows, companion, p: int, threshold=None):
     steps = 0
 
     def done(hit):
-        digits, sizes = _digits_mod([e for row in packed for e in row[n:]],
-                                    p)
-        digits = digits.astype(np.int64)
-        out, pos = [], 0
-        for s in sizes:
-            out.append(_mk(_trim(digits[pos:pos + s]), p))
-            pos += s
+        comp = [e for row in packed for e in row[n:]]
+        comp = (_unpack(comp, p) if isinstance(companion[0][0], Poly)
+                else _normalize(comp, p))
         width = len(companion[0])
         return ([d for d, _ in lead],
-                [out[r:r + width] for r in range(0, len(out), width)], hit,
+                [comp[r:r + width] for r in range(0, len(comp), width)], hit,
                 steps)
 
     for i, (d, _) in enumerate(lead):
@@ -370,8 +401,7 @@ def row_reduce(rows, companion, p: int, threshold=None):
             if lead[k][0] > d:
                 owner[lp], i, k = i, k, i
             if bound[k] >= p:
-                packed[k] = _normalize(packed[k], p)
-                bound[k] = p - 1
+                packed[k], bound[k] = _normalize(packed[k], p), p - 1
             ri, rk = packed[i], packed[k]
             di, dk = lead[i][0], lead[k][0]
             m = -(ri[lp] >> (di << 6)) * pow(rk[lp] >> (dk << 6), -1, p) % p
@@ -383,12 +413,8 @@ def row_reduce(rows, companion, p: int, threshold=None):
             ei = ent[i]
             for j in range(n):
                 if rk[j]:
-                    e = ri[j] + ((m * rk[j]) << shift)
-                    t = (e.bit_length() - 1) >> 6
-                    while t >= 0 and (e >> (t << 6)) % p == 0:
-                        e &= (1 << (t << 6)) - 1
-                        t = (e.bit_length() - 1) >> 6
-                    ri[j], ei[j] = e, t
+                    ri[j] = _strip(ri[j] + ((m * rk[j]) << shift), p)
+                    ei[j] = (ri[j].bit_length() - 1) >> 6
             for j in range(n, len(rk)):
                 if rk[j]:
                     ri[j] += (m * rk[j]) << shift
@@ -440,23 +466,22 @@ def lower_tri_inverse(rows, p: int):
     d = Poly.one(p)
     for i in range(n):
         d = d * rows[i][i]
-    return [in_lattice(v, rows, p) for v in scalar_rows(d, n)], d
+    h = [[_pack(e) for e in row] for row in rows]
+    return [in_lattice(v, h, p) for v in scalar_rows(d, n)], d
 
 
 def in_lattice(v, h_rows, p: int):
-    """Whether row vector v lies in the row span of lower-triangular h_rows.
-
-    Returns the coefficient row c with c * H = v, or None.
-    """
-    rem = [e.c for e in v]
-    coeffs = [Poly.zero(p)] * len(v)
-    for j in range(len(v) - 1, -1, -1):
-        if not rem[j].size:
-            continue
-        q, r = _divmod_arr(rem[j], h_rows[j][j].c, p)
-        if r.size:
-            return None
-        coeffs[j] = _mk(q, p)
-        # rem[j] is now r = 0 and is not read again
-        _sub_scaled(rem, [e.c for e in h_rows[j][:j]], q, p)
-    return coeffs
+    """The coefficient row c (Poly) with c * H = v for lower-triangular
+    h_rows, or None when v is outside its span; entries Poly or packed.
+    Row j of H is taken by one _divide, whose remainder must vanish and
+    whose q is minus c_j."""
+    rem, bound, coeffs = [_pack(e) for e in v], p - 1, [0] * len(v)
+    for j in range(len(rem) - 1, -1, -1):
+        rem[j] = _strip(rem[j], p)
+        if rem[j]:
+            coeffs[j], bound, _ = _divide(rem, bound,
+                                          [_pack(e) for e in h_rows[j]],
+                                          p - 1, j, p)
+            if rem[j]:
+                return None
+    return _unpack(coeffs, p, -1)

@@ -7,10 +7,9 @@ numpy convolution when p is small enough that convolution sums cannot
 overflow int64, and through Kronecker substitution on Python big ints
 otherwise, so every prime p < 2^31 is exact.
 
-The arithmetic itself lives in three primitives on raw coefficient
-arrays, which the matrix kernels of polymat call directly: _trim (drop
-leading zeros), _mul_arr (the product) and _divmod_arr (quotient and
-remainder). Poly wraps an array and delegates to them.
+Poly wraps an array and delegates to three primitives on raw arrays:
+_trim (drop leading zeros), _mul_arr and _divmod_arr.  The matrix
+kernels of polymat work on packed integers instead (see polymat).
 
 poly_factor (Cantor-Zassenhaus) is the library's only factoring routine;
 nothing factors over an extension of F_p.

@@ -25,8 +25,9 @@ describes every L(m * (x)_oo), and the genus is read off its row degrees.
 from .divisors import Divisor, infinite_places
 from .field import FFElem
 from .orders import Ideal, ideal_inv, ideal_mul, ideal_one
-from .polymat import lower_tri_inverse, mat_mul, row_reduce
-from .polys import Poly, _inv_mod
+from .polymat import (_pack, _unpack, _vm, lower_tri_inverse, mat_mul,
+                      row_reduce)
+from .polys import _inv_mod
 
 
 def inf_inverse_ideal(field, vec) -> Ideal:
@@ -42,8 +43,9 @@ def inf_inverse_ideal(field, vec) -> Ideal:
 def _inf_profile(field, jinv: Ideal):
     """Degree data of the infinite module with inverse lattice jinv.
 
-    Returns (vmat, tau_inf): a polynomial matrix and the part of the
-    degree bound that does not depend on the finite module.
+    Returns (vmat, tau_inf): a polynomial matrix, with packed entries
+    (see polymat), and the part of the degree bound that does not depend
+    on the finite module.
     """
     p = field.p
     e = field.cf
@@ -56,16 +58,8 @@ def _inf_profile(field, jinv: Ideal):
     dg = max(x.deg for row in g for x in row if not x.is_zero())
     dw = den_w.deg
     rhat = den_w.reverse(dw)
-    zero = Poly.zero(p)
-    vmat = []
-    for mi, row in enumerate(g):
-        out = []
-        for x in row:
-            if x.is_zero():
-                out.append(zero)
-            else:
-                out.append((x.reverse(dg) * rhat).shift(e * mi))
-        vmat.append(out)
+    vmat = [[0 if x.is_zero() else _pack((x.reverse(dg) * rhat).shift(e * mi))
+             for x in row] for mi, row in enumerate(g)]
     s0 = rho.deg - dg - dw
     tau_inf = rho.reverse(rho.deg).deg - s0
     return vmat, tau_inf
@@ -110,18 +104,20 @@ def ssrr_reduce(field, basis, profile):
     row meeting the degree bound. Returns (element, reduced basis, steps):
     the matching element with a deterministic normalization, or None when
     the space is zero; the basis as reduced so far, which spans the same
-    finite module and is the warm start of the next search on it; and the
-    number of steps row_reduce made, each one simple transformation.
+    finite module and is the warm start of the next search on it, kept
+    packed (see polymat); and the number of steps row_reduce made, each
+    one simple transformation.
     """
     rows, den_u = basis
     vmat, tau_inf = profile
     p = field.p
-    _, comp, hit, steps = row_reduce(mat_mul(rows, vmat, p), rows, p,
-                                     tau_inf + den_u.deg)
+    rows = [[_pack(e) for e in row] for row in rows]
+    _, comp, hit, steps = row_reduce([_vm(row, vmat, p) for row in rows],
+                                     rows, p, tau_inf + den_u.deg)
     basis = (comp, den_u)
     if hit is None:
         return None, basis, steps
-    num = comp[hit]
+    num = _unpack(comp[hit], p)
     for c in num:
         if not c.is_zero():
             sc = _inv_mod(c.lc, p)

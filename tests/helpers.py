@@ -11,9 +11,10 @@ from ffjac.field import FFElem
 from ffjac.fieldgen import expected_structured_genus
 from ffjac.orders import (Ideal, _q_multiplicity, decompose_prime,
                           ideal_inv, ideal_mul, ideal_one)
-from ffjac.polymat import (_arrays, _polys, _sub_scaled, bareiss_det,
-                           fp_rref, hnf_square, lower_tri_inverse)
-from ffjac.polys import Poly, _inv_mod, poly_factor
+from ffjac.polymat import (bareiss_det, fp_rref, hnf_square,
+                           lower_tri_inverse)
+from ffjac.polys import (_ZERO, Poly, _divmod_arr, _inv_mod, _mk, _mul_arr,
+                         _trim, poly_factor)
 from ffjac.riemann_roch import rr_dim
 
 
@@ -163,6 +164,184 @@ def finite_support(div):
                     out.append((Place(div.field, True, pr), v))
     out.sort(key=lambda pv: pv[0].key())
     return out
+
+
+# -- the array kernels that polymat's packed ones replaced, as oracles ------
+
+
+def _arrays(rows):
+    return [[e.c for e in row] for row in rows]
+
+
+def _polys(rows, p: int):
+    return [[_mk(e, p) for e in row] for row in rows]
+
+
+def _sub_scaled(ra, rb, q, p: int, shift: int = 0):
+    """Row update ra -= x^shift * q * rb on raw coefficient rows, in place
+    on the list ra (its arrays are replaced, never written)."""
+    for j, b in enumerate(rb):
+        if not b.size:
+            continue
+        prod = _mul_arr(q, b, p)
+        a = ra[j]
+        end = prod.size + shift
+        if a.size >= end:
+            out = a.copy()
+        else:
+            out = np.zeros(end, dtype=np.int64)
+            out[:a.size] = a
+        out[shift:end] = (out[shift:end] - prod) % p
+        ra[j] = _trim(out)
+
+
+def _rev_inverse(dc, p: int):
+    """The power series inverse, modulo x^d, of the reversal of the monic
+    coefficient array dc of degree d (Newton iteration)."""
+    d = dc.size - 1
+    rev = dc[::-1]
+    g = np.ones(1, dtype=np.int64)
+    prec = 1
+    while prec < d:
+        prec = min(2 * prec, d)
+        err = _mul_arr(rev[:prec], g, p)[:prec]
+        err[0] -= 1
+        corr = _mul_arr(g, err, p)[:prec]
+        nxt = np.zeros(prec, dtype=np.int64)
+        nxt[:g.size] = g
+        nxt[:corr.size] -= corr
+        g = nxt % p
+    return g
+
+
+def _rem_arr(a, dc, dinv, p: int):
+    """a mod the monic dc of degree d, dinv = _rev_inverse(dc, p).  One
+    excess coefficient, the common case after a row update, is one
+    subtraction; more are reduced 2d coefficients at a time through one
+    quotient from the precomputed inverse (two products)."""
+    d = dc.size - 1
+    if d == 0:
+        return _ZERO
+    while a.size > d:
+        if a.size == d + 1:
+            return _trim((a[:d] - a[d] * dc[:d]) % p)
+        lo = max(a.size - 2 * d, 0)
+        top = a[lo:]
+        m = top.size - d
+        # the quotient, reversed, is rev(top) * dinv mod x^m
+        q = _mul_arr(top[:d - 1:-1], dinv[:m], p)[m - 1::-1]
+        r = (top[:d] - _mul_arr(q, dc, p)[:d]) % p
+        a = _trim(np.concatenate((a[:lo], r)))
+    return a
+
+
+def _fold_arrays(active, best, i, j, p: int, rem_row):
+    """Euclid on the column-j entries of the rows active[best] and
+    active[i] by row updates (each row reduced by rem_row after its
+    update, if given); returns the index of the row left holding their
+    gcd, the other entry being zero."""
+    while active[i][j].size:
+        q = _divmod_arr(active[i][j], active[best][j], p)[0]
+        _sub_scaled(active[i], active[best], q, p)
+        if rem_row is not None:
+            active[i] = rem_row(active[i])
+        if active[i][j].size:
+            best, i = i, best
+    return best
+
+
+def hnf_square_arrays(rows, p: int, mod: Poly = None):
+    """polymat.hnf_square on coefficient arrays, every digit reduced mod p
+    at every update (one _sub_scaled per row update, _rem_arr after it):
+    the nonsingular lower-triangular n x n basis with monic pivots and
+    every entry below a pivot (same column) reduced mod the pivot.
+    Raises ArithmeticError at the first column with no pivot.
+
+    Columns are cleared right to left by a pairwise gcd chain: the
+    nonzero entries of the column are taken in increasing degree, and
+    each is folded into the smallest by Euclid on that pair alone, so a
+    unit pivot clears the column in one update per row.
+
+    mod, when given, is a nonzero polynomial D with D * K[x]^n inside the
+    row span (Cohen, GTM 138, 2.4.3: HNF modulo D).  Entries are then
+    kept reduced mod D, and once the entries of column j are folded into
+    one row w, the row D * e_j, whose entry is the largest, is folded in
+    last: its Euclid steps are the extended gcd g of w_j and D, and they
+    leave the pivot row (entry g) and the cofactor row (D / g) * w mod D,
+    up to a unit.  Those two rows span what w and D * e_j span, so H is
+    the HNF of the rows for any such D, not only for a multiple of the
+    determinant, and every column has a pivot.  A unit w_j needs no such
+    step, as its cofactor is zero.
+    """
+    active = _arrays(rows)  # rows with no pivot yet
+    n = len(active[0])
+    rem_row = None
+    if mod is not None:
+        dc = mod.monic().c
+        d = dc.size - 1
+        dinv = _rev_inverse(dc, p)
+
+        def rem_row(row):
+            return [e if e.size <= d else _rem_arr(e, dc, dinv, p)
+                    for e in row]
+
+        active = [rem_row(row) for row in active]
+
+    # columns right to left; the pivot rows are collected bottom up
+    done = []
+    for j in range(n - 1, -1, -1):
+        cand = sorted((i for i, row in enumerate(active) if row[j].size),
+                      key=lambda i: (active[i][j].size, i))
+        best = cand[0] if cand else None
+        for i in cand[1:]:
+            best = _fold_arrays(active, best, i, j, p, rem_row)
+        if mod is not None and (best is None or active[best][j].size > 1):
+            active.append([_ZERO] * j + [dc] + [_ZERO] * (n - 1 - j))
+            last = len(active) - 1
+            best = last if best is None else _fold_arrays(active, best, last,
+                                                          j, p, rem_row)
+        if best is None:
+            raise ArithmeticError("lattice does not have full column rank")
+        w = active[best]
+        active[best] = active[-1]
+        active.pop()
+        lc = int(w[j][-1])
+        if lc != 1:
+            inv = _inv_mod(lc, p)
+            w = [(e * inv) % p for e in w]
+        done.append(w)
+
+    # row t has its pivot in column t; any rows left over are zero.
+    # Reduce the entries below each pivot mod the pivot, rows top down and
+    # within a row right to left, so finished entries are never touched
+    # again
+    h = done[::-1]
+    for t in range(n):
+        for s in range(t - 1, -1, -1):
+            e = h[t][s]
+            if e.size >= h[s][s].size:
+                q = _divmod_arr(e, h[s][s], p)[0]
+                _sub_scaled(h[t], h[s], q, p)
+    return _polys(h, p)
+
+
+
+
+def in_lattice_arrays(v, h_rows, p: int):
+    """polymat.in_lattice on coefficient arrays: the coefficient row c
+    with c * H = v for lower-triangular h_rows, or None."""
+    rem = [e.c for e in v]
+    coeffs = [Poly.zero(p)] * len(v)
+    for j in range(len(v) - 1, -1, -1):
+        if not rem[j].size:
+            continue
+        q, r = _divmod_arr(rem[j], h_rows[j][j].c, p)
+        if r.size:
+            return None
+        coeffs[j] = _mk(q, p)
+        # rem[j] is now r = 0 and is not read again
+        _sub_scaled(rem, [e.c for e in h_rows[j][:j]], q, p)
+    return coeffs
 
 
 def _raw_lead(row):

@@ -176,19 +176,23 @@ def test_typical_addition_counters(monkeypatch):
 
 
 # sha256 of (fin key, r, vec) along a 24-addition chain, recorded when
-# row_reduce still reduced every coefficient mod p at every update
+# row_reduce still reduced every coefficient mod p at every update (the
+# degree-3 fields) and when hnf_square, in_lattice and _vm still did
+# (add-chain-n6)
 CHAIN_DIGESTS = {
     "reduce-q7-g3":
         "4e52395b4cb23a9796505d258568868e50c0d7eac56c25142d444d3382bd18ec",
     "add-chain-g28":
         "2e3c5dd4efa16d39826b280ae7fc95adc156a4677c33532a6ae022e8c059592d",
+    "add-chain-n6":
+        "964e80c870e82caabe27fc712de52e32b58ce4419f5a4d69760cbba8a723336b",
 }
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_DIGESTS))
 def test_addition_chain_representatives_pinned(name):
-    # F_7 at genus 3 and F_32771 at genus 28: a Fibonacci chain
-    # d[k+1] = d[k-1] + d[k] from two random classes
+    # F_7 at genus 3, F_32771 at genus 28 and, of degree 6, at genus 11: a
+    # Fibonacci chain d[k+1] = d[k-1] + d[k] from two random classes
     field = read_field(PERFBENCH_FIELDS / (name + ".json"))[0]
     ctx = JacobianCtx(field)
     rng = random.Random("pinned-chain")

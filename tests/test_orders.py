@@ -29,7 +29,7 @@ from ffjac.orders import (
     discriminant_support,
 )
 from ffjac.polymat import (_vm, hnf_square, in_lattice, lower_tri_inverse,
-                           scalar_rows)
+                           mat_mul, scalar_rows)
 from ffjac.polys import Poly, enumerate_monic_irreducibles, poly_factor
 from helpers import (dual_by_second_hnf, element_of_place, norm, scale,
                      val_ideal)
@@ -87,9 +87,9 @@ def test_order_multiplication_matches_field():
             v = [Poly([rng.randrange(p) for _ in range(3)], p)
                  for _ in range(n)]
             w = _vm(u, o.elem_mul_matrix(v), p)
-            eu = FFElem(f, _vm(u, o.basis, p), o.den)
-            ev = FFElem(f, _vm(v, o.basis, p), o.den)
-            ew = FFElem(f, _vm(w, o.basis, p), o.den)
+            eu = FFElem(f, mat_mul([u], o.basis, p)[0], o.den)
+            ev = FFElem(f, mat_mul([v], o.basis, p)[0], o.den)
+            ew = FFElem(f, mat_mul([w], o.basis, p)[0], o.den)
             assert eu * ev == ew
 
 

@@ -1,11 +1,15 @@
 import random
 import re
+import sys
 
 import pytest
 
 from ffjac import polymat
 from ffjac.polys import Poly
 from ffjac.polymat import (
+    _pack,
+    _unpack,
+    _vm,
     bareiss_det,
     hnf_square,
     in_lattice,
@@ -16,7 +20,8 @@ from ffjac.polymat import (
     scalar_rows,
 )
 
-from helpers import fp_kernel, leading_matrix, row_reduce_arrays
+from helpers import (fp_kernel, hnf_square_arrays, in_lattice_arrays,
+                     leading_matrix, row_reduce_arrays)
 
 P = 32771
 # above polys._CONV_LIMIT: every product takes the Kronecker path
@@ -450,3 +455,202 @@ def test_in_lattice_rejects_outsider():
     assert in_lattice([z, x], rows, p) is None
     got = in_lattice([x * x, z], rows, p)
     assert got == [Poly.one(p), z]
+
+
+def packed(rows):
+    return [[_pack(e) for e in row] for row in rows]
+
+
+def assert_same_hnf(rows, p, mod=None):
+    """hnf_square and the array-based oracle agree on the key, raising
+    included; the rows are also given packed.  Returns whether the rows
+    had full column rank."""
+    try:
+        want = mat_key(hnf_square_arrays(rows, p, mod))
+    except ArithmeticError as exc:
+        for given in (rows, packed(rows)):
+            with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
+                hnf_square(given, p, mod)
+        return False
+    assert mat_key(hnf_square(rows, p, mod)) == want
+    assert mat_key(hnf_square(packed(rows), p, mod)) == want
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 32771, BIG])
+def test_hnf_square_matches_array_oracle(p):
+    # stacks of 1 .. 3n rows without a modulus, every fourth with a zero
+    # column, and the modulus cases of the test above
+    rng = random.Random("hnf oracle %d" % p)
+    full = deficient = with_mod = 0
+    for case in range(24):
+        n = 1 + case % 4
+        rows = rand_matrix(rng, p, rng.randrange(1, 3 * n + 1), n,
+                           rng.randrange(12))
+        if case % 4 == 1:
+            c = rng.randrange(n)
+            rows = [row[:c] + [Poly.zero(p)] + row[c + 1:] for row in rows]
+        if assert_same_hnf(rows, p):
+            full += 1
+        else:
+            deficient += 1
+        if case % 3 == 0:
+            for rows, mod in modulus_cases(rng, p, n):
+                assert assert_same_hnf(rows, p, mod)
+                with_mod += 1
+    assert full >= 10 and deficient >= 6 and with_mod >= 40
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 32771, BIG])
+def test_in_lattice_matches_array_oracle(p):
+    # members c * H and random rows, which mostly lie outside
+    rng = random.Random("in_lattice oracle %d" % p)
+    hits = misses = 0
+    for case in range(16):
+        n = 1 + case % 4
+        h = hnf_square(nonsingular(rng, p, n, 5), p)
+        c = [rand_poly(rng, p, 6) for _ in range(n)]
+        for v in (mat_mul([c], h, p)[0], rand_matrix(rng, p, 1, n, 8)[0]):
+            want = in_lattice_arrays(v, h, p)
+            assert in_lattice(v, h, p) == want
+            assert in_lattice(packed([v])[0], packed(h), p) == want
+            hits += want is not None
+            misses += want is None
+    assert hits >= 16 and misses >= 4
+
+
+def test_hnf_square_strips_top_digits_zero_mod_p():
+    # p = 3: x^2 + 2x + 1 loses 2x and then 2 times x + 1, which leaves the
+    # digit 3 in the column: 0 mod p but not 0, so the remainder is zero
+    # and the column is done (and (x + 1)^2 lies in the span of x + 1)
+    p = 3
+    x, one, z = Poly.x(p), Poly.one(p), Poly.zero(p)
+    rows = [[x, x + one], [one, x * x + x.scale(2) + one]]
+    assert assert_same_hnf(rows, p)
+    h = [[one, z], [x, x + one]]
+    v = [z, x * x + x.scale(2) + one]
+    assert in_lattice(v, h, p) == in_lattice_arrays(v, h, p) == [
+        x * x.scale(2) + x.scale(2), x + one]
+
+
+def count_normalize(monkeypatch):
+    """List that receives the caller of every _normalize call."""
+    calls = []
+    real = polymat._normalize
+
+    def normalize(ents, p):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real(ents, p)
+
+    monkeypatch.setattr(polymat, "_normalize", normalize)
+    return calls
+
+
+def test_hnf_square_splits_a_long_quotient_at_p_near_2_31(monkeypatch):
+    # a quotient of 36 digits at p = 2^31 - 1: each digit adds up to about
+    # 2^62 to the column entry, which is reduced mod p part way through
+    # the quotient (_divide); the other entry then takes the quotient two
+    # digits at a time, reduced mod p in between (_add_product)
+    rng = random.Random(71)
+    calls = count_normalize(monkeypatch)
+    long = Poly([rng.randrange(BIG) for _ in range(40)] + [1], BIG)
+    short = Poly([rng.randrange(1, BIG) for _ in range(5)] + [1], BIG)
+    other = Poly([rng.randrange(BIG) for _ in range(8)], BIG)
+    rows = [[other, long], [Poly.one(BIG), short]]
+    assert_same_hnf(rows, BIG)
+    assert calls.count("_divide") >= 2 * 36 // 4
+    assert calls.count("_add_product") >= 2 * 36 // 2
+
+
+def test_hnf_square_normalizes_pivots_past_2_32(monkeypatch):
+    # p = 2^31 - 1: the Euclid chain of two degree-12 entries swaps its
+    # rows, so the pivot is a row just updated, with digits near 2^62,
+    # which is reduced mod p before it is used
+    rng = random.Random(73)
+    calls = count_normalize(monkeypatch)
+    a, b = (Poly([rng.randrange(BIG) for _ in range(12)] + [1], BIG)
+            for _ in range(2))
+    c, d = (Poly([rng.randrange(BIG) for _ in range(4)], BIG)
+            for _ in range(2))
+    assert_same_hnf([[c, a], [d, b]], BIG)
+    assert len(calls) > 2 * 12
+
+
+def test_hnf_square_reduces_long_entries_mod_d_near_2_31():
+    # entries of degree 60 reduced mod a D of degree 5 at p = 2^31 - 1: 56
+    # steps of up to about 2^62 each on one entry, which is reduced mod p
+    # in between
+    rng = random.Random(79)
+    q = Poly([rng.randrange(BIG) for _ in range(5)] + [1], BIG)
+    rows = [[Poly([rng.randrange(BIG) for _ in range(61)], BIG),
+             Poly([rng.randrange(BIG) for _ in range(61)], BIG)]
+            for _ in range(2)]
+    rows += [[q, Poly.zero(BIG)], [Poly.zero(BIG), q]]
+    assert assert_same_hnf(rows, BIG, q)
+
+
+def test_hnf_square_scales_pivot_rows_past_2_63():
+    # p = 2^31 - 1: the pivot row of the last column was updated, with
+    # digits near 2^62, and its leading coefficient is not 1, so its
+    # digits are reduced before they are scaled by the inverse
+    rng = random.Random(83)
+    x = Poly.x(BIG)
+    a = Poly([rng.randrange(BIG) for _ in range(6)], BIG)
+    rows = [[a, x.scale(5) + Poly.one(BIG)], [Poly.one(BIG), x.scale(3)]]
+    assert_same_hnf(rows, BIG)
+
+
+def poly_vm(v, rows, p):
+    out = [Poly.zero(p)] * len(rows[0])
+    for c, row in zip(v, rows):
+        out = [o + c * e for o, e in zip(out, row)]
+    return out
+
+
+def test_vm_applies_long_entries_in_pieces_near_2_31():
+    # p = 2^31 - 1 allows two digits of c per product (span): entries of 40
+    # digits near p - 1, whose digit sums would reach about 40 * 2^62, are
+    # applied twenty pieces at a time
+    rng = random.Random(89)
+
+    def near_p():
+        return Poly([BIG - 1 - rng.randrange(1000) for _ in range(40)], BIG)
+
+    v = [near_p()]
+    rows = [[near_p() for _ in range(2)]]
+    assert _unpack(_vm(v, packed(rows), BIG), BIG) == poly_vm(v, rows, BIG)
+
+
+def test_vm_normalizes_between_rows_near_2_31(monkeypatch):
+    # p = 2^31 - 1: every row adds up to 2 * (p - 1)^2, about 2^63, to the
+    # output's digits, so they are reduced mod p before each further row
+    rng = random.Random(97)
+    calls = count_normalize(monkeypatch)
+    v = [Poly([rng.randrange(BIG) for _ in range(2)], BIG)
+         for _ in range(6)]
+    rows = [[Poly([rng.randrange(BIG) for _ in range(3)], BIG)
+             for _ in range(2)] for _ in range(6)]
+    assert _unpack(_vm(v, packed(rows), BIG), BIG) == poly_vm(v, rows, BIG)
+    assert calls == ["_add_product"] * 5 + ["_vm"]
+
+
+def test_in_lattice_constant_pivots_near_2_31(monkeypatch):
+    # p = 2^31 - 1 and unit pivots: the quotient of an entry by a constant
+    # is the entry times minus its inverse, with digits up to about 2^62,
+    # so it is reduced mod p before the row takes it, and the next entry,
+    # whose digits then reach about 2^63, before it is scaled
+    rng = random.Random(101)
+    calls = count_normalize(monkeypatch)
+    x, one = Poly.x(BIG), Poly.one(BIG)
+    big = [Poly([rng.randrange(BIG) for _ in range(2)], BIG)
+           for _ in range(3)]
+    h = [[x * x + one, Poly.zero(BIG), Poly.zero(BIG)],
+         [big[0], one, Poly.zero(BIG)],
+         [big[1], big[2], one]]
+    for _ in range(4):
+        c = [Poly([rng.randrange(BIG) for _ in range(9)], BIG)
+             for _ in range(3)]
+        v = mat_mul([c], h, BIG)[0]
+        assert in_lattice(v, h, BIG) == c
+        assert in_lattice_arrays(v, h, BIG) == c
+    assert "_divide" in calls and "_add_product" in calls
