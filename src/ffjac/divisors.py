@@ -15,8 +15,8 @@ from .orders import (
     ideal_one,
     principal_ideal,
 )
-from .polymat import _unpack, _vm, in_lattice, scalar_rows
-from .polys import Poly, _int_list, poly_gcd, poly_is_irreducible
+from .polymat import in_lattice, mat_mul, scalar_rows
+from .polys import Poly, _int_list, poly_is_irreducible
 
 
 class Place:
@@ -77,7 +77,9 @@ def finite_places_above(field, q: Poly):
 
 def infinite_coords(field, elem):
     """Coordinates of elem over the infinite maximal order, as a pair
-    (numerator coordinate row, denominator in K[u])."""
+    (numerator coordinate row, denominator in K[u]), with the common
+    power of u cancelled.  A common factor prime to u may remain: the
+    valuations at the places over u, which read these, ignore it."""
     p = field.p
     e = field.cf
     oi = field.infinite_order()
@@ -95,17 +97,11 @@ def infinite_coords(field, elem):
             cnum.append(c.reverse(m + dden - e * i))
     cden = den.reverse(dden + m)
     ginv, det = oi.tri_inverse()
-    v = [t * oi.den for t in _unpack(_vm(cnum, ginv, p), p)]
+    v = [t * oi.den for t in mat_mul([cnum], ginv, p)[0]]
     dtot = cden * det
-    g = dtot
-    for t in v:
-        g = poly_gcd(g, t)
-        if g.is_one():
-            break
-    if not g.is_one():
-        v = [t.exact_div(g) for t in v]
-        dtot = dtot.exact_div(g)
-    return v, dtot
+    # the lowest nonzero digit of each packed entry gives its power of u
+    k = min(((t.v & -t.v).bit_length() - 1) >> 6 for t in (dtot, *v) if t)
+    return [t.shift(-k) for t in v], dtot.shift(-k)
 
 
 def infinite_valuations(field, elem):

@@ -12,7 +12,7 @@ products and the multiplication tables of orders both reduce it mod f.
 
 from __future__ import annotations
 
-from .polys import Poly, _int_list, _inv_mod, poly_gcd
+from .polys import Poly, _int_list, _inv_mod, cancel
 
 
 def _is_prime(m: int) -> bool:
@@ -239,7 +239,7 @@ class FunctionField:
         return {
             "p": self.p,
             "n": self.n,
-            "coeffs": [[int(v) for v in a.c] for a in self.coeffs],
+            "coeffs": [list(a.coeffs) for a in self.coeffs],
         }
 
     @staticmethod
@@ -282,14 +282,7 @@ class FFElem:
             den = Poly(den, p)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = den
-        for c in num:
-            g = poly_gcd(g, c)
-            if g.deg == 0:
-                break
-        if g.deg > 0:
-            num = [c.exact_div(g) for c in num]
-            den = den.exact_div(g)
+        num, den = cancel(num, den)
         lc = den.lc
         if lc != 1:
             inv = _inv_mod(lc, p)

@@ -27,9 +27,6 @@ import random
 import numpy as np
 
 from .polymat import (
-    _pack,
-    _unpack,
-    _vm,
     bareiss_det,
     fp_solve,
     hnf_square,
@@ -39,39 +36,20 @@ from .polymat import (
     mat_mul,
     scalar_rows,
 )
-from .polys import (Poly, poly_factor, poly_gcd,
+from .polys import (Poly, cancel, poly_factor, poly_gcd,
                     poly_squarefree_decomposition)
-
-
-def _content(rows, p: int) -> Poly:
-    g = Poly.zero(p)
-    for row in rows:
-        for e in row:
-            if not e.is_zero():
-                g = poly_gcd(g, e)
-                if g.is_one():
-                    return g
-    return g
 
 
 def _hermite(rows, den: Poly, p: int, mod: Poly = None):
     """Canonical (h, den) for the lattice rowspan(rows) / den: the HNF,
-    with the gcd of its content and den cancelled.  mod, if given, is a
+    with the gcd of its entries and den cancelled.  mod, if given, is a
     polynomial D with D * K[x]^n inside rowspan(rows) (see hnf_square)."""
     h = hnf_square(rows, p, mod)
-    if not den.is_one():
-        # full cancellation is the common case; test it before the gcd
-        if all((e % den).is_zero() for row in h for e in row):
-            h = [[e.exact_div(den) for e in row] for row in h]
-            den = Poly.one(p)
-        else:
-            g = poly_gcd(_content(h, p), den)
-            if not g.is_one():
-                h = [[e.exact_div(g) for e in row] for row in h]
-                den = den.exact_div(g)
+    n = len(h)
+    flat, den = cancel([e for row in h for e in row], den)
     if den.lc != 1:
         raise ArithmeticError("lattice denominator must be monic")
-    return h, den
+    return [flat[i:i + n] for i in range(0, n * n, n)], den
 
 
 def _vec_mod(v, q: Poly):
@@ -108,8 +86,8 @@ class Order:
     denominator: the i-th basis element is (1/den) * sum_j basis[i][j] t^j.
     """
 
-    __slots__ = ("field", "basis", "den", "one_coords", "_table", "_packed",
-                 "_decomp", "_radicals", "_key", "_tri")
+    __slots__ = ("field", "basis", "den", "one_coords", "_table", "_decomp",
+                 "_radicals", "_key", "_tri")
 
     def __init__(self, field, rows, den: Poly):
         p = field.p
@@ -123,7 +101,6 @@ class Order:
             raise ArithmeticError("lattice does not contain 1")
         self.one_coords = one
         self._table = None
-        self._packed = None
         self._decomp = {}
         # q-radicals left by round two, until decomposition above q reads them
         self._radicals = {}
@@ -154,11 +131,9 @@ class Order:
         return (self.den ** self.n).exact_div(self.det())
 
     def tri_inverse(self):
-        """(G, d) with G * basis = d * Id, d the basis determinant, and G
-        with packed entries (see polymat)."""
+        """(G, d) with G * basis = d * Id, d the basis determinant."""
         if self._tri is None:
-            g, d = lower_tri_inverse(self.basis, self.p)
-            self._tri = [[_pack(e) for e in row] for row in g], d
+            self._tri = lower_tri_inverse(self.basis, self.p)
         return self._tri
 
     # -- multiplication table ------------------------------------------
@@ -181,13 +156,8 @@ class Order:
         return self._table
 
     def elem_mul_matrix(self, v):
-        """Rows: coordinates of (basis element a) * (element with coords v),
-        packed (see polymat), from the table packed once."""
-        if self._packed is None:
-            self._packed = [[[_pack(e) for e in c] for c in row]
-                            for row in self.table()]
-        v = [_pack(e) for e in v]
-        return [_vm(v, t, self.p) for t in self._packed]
+        """Rows: coordinates of (basis element a) * (element with coords v)."""
+        return [mat_mul([v], t, self.p)[0] for t in self.table()]
 
     # -- coordinate conversion -------------------------------------------
 
@@ -246,8 +216,7 @@ def ideal_mul_elem(a: Ideal, c, cden: Poly = None) -> Ideal:
     if all(e.is_zero() for e in c):
         raise ZeroDivisionError("product by zero")
     order = a.order
-    m = order.elem_mul_matrix(c)
-    rows = [_vm(w, m, order.p) for w in a.h]
+    rows = mat_mul(a.h, order.elem_mul_matrix(c), order.p)
     return Ideal(order, rows, a.den if cden is None else a.den * cden)
 
 
@@ -302,8 +271,7 @@ def ideal_mul(a: Ideal, b: Ideal) -> Ideal:
     for gens in _generators(a):
         rows = []
         for g in gens:
-            m = order.elem_mul_matrix(g)
-            rows += [_vm(w, m, p) for w in b.h]
+            rows += mat_mul(b.h, order.elem_mul_matrix(g), p)
         out = Ideal(order, rows, a.den * b.den, mod)
         if out.norm_degree() == target:
             break
@@ -393,7 +361,6 @@ class PrimeIdeal(Ideal):
         and steps one power at a time beyond them, so the memo grows to at
         most one power past the valuation.
         """
-        c = [_pack(e) for e in c]
         if not any(c):
             raise ZeroDivisionError("valuation of zero")
         if not self._in_power(c, 1):
@@ -501,11 +468,10 @@ def _dedekind_q_maximal(field, q: Poly) -> bool:
 def _pow_coords_mod(order: Order, v, e: int, q: Poly, table):
     """v^e mod q in coordinates; table is order.table() reduced mod q."""
     p = order.p
-    table = [[[_pack(e) for e in c] for c in row] for row in table]
 
     def mul(a, b):
-        return _vec_mod(_unpack(_vm(a, [_vm(b, row, p) for row in table], p),
-                                p), q)
+        m = [mat_mul([b], t, p)[0] for t in table]
+        return _vec_mod(mat_mul([a], m, p)[0], q)
 
     result = _vec_mod(order.one_coords, q)
     base = _vec_mod(v, q)
@@ -634,17 +600,16 @@ def _decompose_radical_split(order: Order, q: Poly):
         def flat(v):
             out = np.zeros(d * len(qpos), dtype=np.int64)
             for i, j in enumerate(qpos):
-                out[i * d:i * d + v[j].deg + 1] = v[j].c
+                out[i * d:i * d + v[j].deg + 1] = v[j].coeffs
             return out
 
         z = [Poly([rng.randrange(p) for _ in range(h[j][j].deg)], p)
              for j in range(n)]
-        m = [[_pack(e) for e in _reduce_mod_lattice(_unpack(row, p), h)]
-             for row in order.elem_mul_matrix(z)]
+        m = [_reduce_mod_lattice(row, h) for row in order.elem_mul_matrix(z)]
         pows = [_reduce_mod_lattice(order.one_coords, h)]
         flats = [flat(pows[0])]
         while True:
-            cur = _reduce_mod_lattice(_unpack(_vm(pows[-1], m, p), p), h)
+            cur = _reduce_mod_lattice(mat_mul([pows[-1]], m, p)[0], h)
             dep = fp_solve(np.array(flats), flat(cur), p)
             if dep is not None:
                 break

@@ -1,15 +1,13 @@
 """Matrices over K[x] (K = F_p): HNF, row reduction, determinants.
 
-A lattice is the K[x]-row-span of its matrix, stored as rows.  The
-kernels (_vm, the one vector-times-matrix product, hnf_square, in_lattice
-and row_reduce) take Poly or packed entries and compute on packed ones:
-one Python int per polynomial, coefficient k in bits [64k, 64k + 64)
-(Kronecker substitution).  They hand each other Packed entries, every
-digit reduced mod p, so the products of the cached multiplication
-tables reach hnf_square with no Poly in between.  Inside a kernel an
-update only adds (c * e, c = p - c', for a subtraction of c' * e), each
-row keeps a bound on its digits, and a row is reduced mod p (_normalize)
-only when the next update could take a digit to 2^63, so none carries.
+A lattice is the K[x]-row-span of its matrix, stored as rows of Poly.
+The kernels (mat_mul, hnf_square, in_lattice and row_reduce) read the
+packed int e.v of every entry and compute on lists of them with the
+digit-bound primitives of polys: an update only adds (c * e, c = p - c',
+for a subtraction of c' * e), each row keeps a bound on its digits, and
+a row is reduced mod p (_normalize) only when the next update could take
+a digit to 2^63, so none carries.  Their results are wrapped as Poly
+once every digit is reduced.
 
 hnf_square gives the canonical basis of a row span by a pairwise gcd
 chain per column, modulo D when the caller knows D * K[x]^n inside the
@@ -23,95 +21,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polys import Poly, _inv_mod, _mk, _trim
+from .polys import (_DIGIT_LIMIT, Poly, _add_product, _euclid, _inv_mod,
+                    _neg, _normalize, _poly, _strip)
 
 
 def mat_key(rows) -> bytes:
     """Canonical bytes for a matrix of Poly entries."""
-    parts = [np.int64(len(rows)).tobytes(), np.int64(len(rows[0])).tobytes()]
+    parts = [len(rows).to_bytes(8, "little"),
+             len(rows[0]).to_bytes(8, "little")]
     for row in rows:
         for e in row:
-            parts.append(np.int64(len(e.c)).tobytes())
-            parts.append(e.c.tobytes())
+            k = e.key()
+            parts.append((len(k) >> 3).to_bytes(8, "little"))
+            parts.append(k)
     return b"".join(parts)
-
-
-# -- packed entries ---------------------------------------------------------
-
-# every 64-bit digit of a packed entry stays below this: none carries
-_DIGIT_LIMIT = 1 << 63
-
-
-class Packed(int):
-    """A packed polynomial with every digit reduced mod p: its top digit is
-    its leading coefficient, and its length gives its degree."""
-
-    __slots__ = ()
-
-    @property
-    def deg(self) -> int:
-        return (self.bit_length() - 1) >> 6
-
-
-def _pack(e) -> int:
-    """A Poly as one packed int; a packed entry as it is."""
-    if isinstance(e, Poly):
-        return int.from_bytes(e.c.astype("<i8", copy=False).tobytes(),
-                              "little")
-    return e
-
-
-def _digits_mod(ents, p: int):
-    """(digits, sizes): the digits of the packed entries, reduced mod p,
-    end to end in one array, and each entry's number of digits."""
-    sizes = [(e.bit_length() + 63) >> 6 for e in ents]
-    buf = b"".join(e.to_bytes(s << 3, "little") for e, s in zip(ents, sizes))
-    return np.frombuffer(buf, "<u8") % p, sizes
-
-
-def _normalize(ents, p: int):
-    """The packed entries with every digit reduced mod p, as Packed."""
-    digits, sizes = _digits_mod(ents, p)
-    buf = digits.astype("<u8", copy=False).tobytes()
-    out, pos = [], 0
-    for s in sizes:
-        out.append(Packed.from_bytes(buf[pos:pos + (s << 3)], "little"))
-        pos += s << 3
-    return out
-
-
-def _unpack(ents, p: int, sign: int = 1):
-    """sign times each packed entry, as a Poly."""
-    digits, sizes = _digits_mod(ents, p)
-    digits = digits.astype(np.int64)
-    if sign < 0:
-        digits = -digits % p
-    out, pos = [], 0
-    for s in sizes:
-        out.append(_mk(_trim(digits[pos:pos + s]), p))
-        pos += s
-    return out
-
-
-def _strip(e: int, p: int) -> int:
-    """e without its top digits that are 0 mod p, so that its top digit
-    gives its degree and, mod p, its leading coefficient."""
-    t = (e.bit_length() - 1) >> 6
-    while t >= 0 and (e >> (t << 6)) % p == 0:
-        e &= (1 << (t << 6)) - 1
-        t = (e.bit_length() - 1) >> 6
-    return e
-
-
-def _vm(v, rows, p: int):
-    """v times the rows over K[x], as Packed entries (v Poly or packed,
-    rows packed; see _add_product for the digit bounds)."""
-    out = [0] * len(rows[0])
-    bound = 0
-    for c, row in zip(v, rows):
-        bound = _add_product(out, bound, _pack(c), p - 1, row, p - 1,
-                             None, p)
-    return _normalize(out, p)
 
 
 def scalar_rows(c: Poly, n: int):
@@ -121,78 +44,38 @@ def scalar_rows(c: Poly, n: int):
 
 
 def mat_mul(a, b, p: int):
-    """Row-list product, as Poly rows."""
-    b = [[_pack(e) for e in row] for row in b]
-    flat = _unpack([e for row in a for e in _vm(row, b, p)], p)
+    """Row-list product of Poly matrices: each row of the product sums
+    the rows of b times the entries of a row of a, on packed ints (see
+    _add_product for the digit bounds)."""
+    b = [[e.v for e in row] for row in b]
     w = len(b[0])
-    return [flat[i:i + w] for i in range(0, len(flat), w)]
+    out = []
+    for row in a:
+        acc, bound = [0] * w, 0
+        for c, brow in zip(row, b):
+            bound = _add_product(acc, bound, c.v, p - 1, brow, p - 1, None, p)
+        out += acc
+    return _polys(out, w, p)
+
+
+def _polys(ents, n: int, p: int):
+    """The packed ints, every digit reduced mod p here, as rows of n Poly."""
+    flat = [_poly(e, p) for e in _normalize(ents, p)]
+    return [flat[i:i + n] for i in range(0, len(flat), n)]
 
 
 # -- HNF ----------------------------------------------------------------------
 
 
-def _add_product(ri, bi, q, qb, rk, bk, j, p: int):
-    """ri[t] += q * rk[t] for every t but j (all packed); bi, qb and bk
-    (below p) bound the digits of ri, q and rk, and each digit of q adds
-    at most qb * bk.  Where that could reach 2^63, ri is reduced mod p,
-    then q; a q with more digits than one product of reduced operands can
-    take (fewer than about 2^30 only for p near 2^31) goes a piece at a
-    time.  Returns the new bi."""
-    lo = 0
-    while q:
-        k = (q.bit_length() + 63) >> 6
-        piece = q
-        if bi + k * qb * bk >= _DIGIT_LIMIT:
-            ri[:], bi = _normalize(ri, p), p - 1
-            if bi + k * qb * bk >= _DIGIT_LIMIT and qb >= p:
-                q = piece = _normalize([q], p)[0]
-                qb = p - 1
-            span = (_DIGIT_LIMIT - 1 - bi) // (qb * bk)
-            if k > span:
-                k = span
-                piece = q & ((1 << (k << 6)) - 1)
-        for t, e in enumerate(rk):
-            if e and t != j:
-                ri[t] += (piece * e) << (lo << 6)
-        bi += k * qb * bk
-        q >>= k << 6
-        lo += k
-    return bi
-
-
 def _divide(ri, bi, rk, bk, j, p: int):
     """ri += q * rk, q minus the quotient of ri[j] by rk[j] (both nonzero,
-    rk[j] stripped), leaving the remainder in ri[j], stripped; bi and bk
-    bound the digits of ri and rk, and rk is reduced mod p first if bk
-    has reached p.  q comes from ri[j] alone: ri[j] times minus the
-    inverse of a constant rk[j], else one simple transformation per digit
-    m, which adds at most m * bk to ri[j], reduced mod p first when that
-    could reach 2^63.  The rest of ri takes q at once (_add_product).
-    Returns (q, bi, bk), the bounds updated."""
+    rk[j] stripped), leaving the remainder in ri[j], stripped (_euclid);
+    bi and bk bound the digits of ri and rk, and rk is reduced mod p
+    first if bk has reached p.  The rest of ri takes q at once
+    (_add_product).  Returns (q, bi, bk), the bounds updated."""
     if bk >= p:
         rk[:], bk = _normalize(rk, p), p - 1
-    b = rk[j]
-    db = (b.bit_length() - 1) >> 6
-    inv = pow(b >> (db << 6), -1, p)
-    a, ab = ri[j], bi
-    if db == 0:
-        if ab * (p - inv) >= _DIGIT_LIMIT:
-            a, ab = _normalize([a], p)[0], p - 1
-        q, qb, a = a * (p - inv), ab * (p - inv), 0
-    else:
-        q, qb = 0, p - 1
-        while True:
-            da = (a.bit_length() - 1) >> 6
-            if da < db:
-                break
-            m = -(a >> (da << 6)) * inv % p
-            if ab + m * bk >= _DIGIT_LIMIT:
-                a, ab = _normalize([a], p)[0], p - 1
-            s = (da - db) << 6
-            a = _strip((a + ((m * b) << s)) & ((1 << (da << 6)) - 1), p)
-            q += m << s
-            ab += m * bk
-    ri[j] = a
+    q, qb, ri[j], ab = _euclid(ri[j], bi, rk[j], bk, p)
     return q, _add_product(ri, max(bi, ab), q, qb, rk, bk, j, p), bk
 
 
@@ -224,7 +107,7 @@ def _fold(active, best, i, j, p: int, bound, dmod, d):
 
 
 def hnf_square(rows, p: int, mod: Poly = None):
-    """HNF of a lattice spanned by rows (Poly or packed) with full column
+    """HNF of a lattice spanned by rows with full column
     rank n: the lower-triangular n x n basis with monic pivots and every
     entry below a pivot reduced mod the pivot, as Poly.  Raises
     ArithmeticError at the first column with no pivot.  Columns are
@@ -246,12 +129,12 @@ def hnf_square(rows, p: int, mod: Poly = None):
     cofactor row, which span what w and D * e_j span: H is the HNF for
     any such D, and every column has a pivot (a unit w_j needs no fold).
     """
-    active = [[_pack(e) for e in row] for row in rows]  # no pivot yet
+    active = [[e.v for e in row] for row in rows]  # no pivot yet
     n = len(active[0])
     bound = [p - 1] * len(active)
     dmod = d = None
     if mod is not None:
-        dmod, d = _pack(mod.monic()), mod.deg
+        dmod, d = mod.monic().v, mod.deg
         for i, row in enumerate(active):
             bound[i] = _rem_row(row, bound[i], dmod, d, p)
 
@@ -294,8 +177,7 @@ def hnf_square(rows, p: int, mod: Poly = None):
             h[t][s] = _strip(h[t][s], p)
             if h[t][s].bit_length() > ((h[s][s].bit_length() - 1) >> 6) << 6:
                 _, hb[t], hb[s] = _divide(h[t], hb[t], h[s], hb[s], s, p)
-    flat = _unpack([e for row in h for e in row], p)
-    return [flat[i:i + n] for i in range(0, n * n, n)]
+    return _polys([e for row in h for e in row], n, p)
 
 
 def fp_rref(mat: np.ndarray, p: int):
@@ -360,16 +242,15 @@ def row_reduce(rows, companion, p: int, threshold=None):
     mod p first; so is the target when the update could take its bound
     to 2^63.  Updated entries drop their top digits that are 0 mod p.
 
-    rows hold Poly or Packed entries, companion Poly or packed ones.
     Returns (degs, companion, hit, steps): the row degrees, the companion
-    rows (Poly for a Poly companion, else Packed), the index of a row
+    rows, the index of a row
     whose degree reached threshold (reduction left unfinished) or None,
     and the number of simple transformations.  A singular input raises.
     """
     n = len(rows)
     # row i and its companion row as one list: entries 0 .. n-1 are the
     # row's, the rest the companion's, all with digits at most bound[i]
-    packed = [[_pack(e) for e in [*row, *crow]]
+    packed = [[e.v for e in [*row, *crow]]
               for row, crow in zip(rows, companion)]
     bound = [p - 1] * n
     ent = [[e.deg for e in row] for row in rows]  # entry degrees
@@ -377,13 +258,9 @@ def row_reduce(rows, companion, p: int, threshold=None):
     steps = 0
 
     def done(hit):
-        comp = [e for row in packed for e in row[n:]]
-        comp = (_unpack(comp, p) if isinstance(companion[0][0], Poly)
-                else _normalize(comp, p))
-        width = len(companion[0])
-        return ([d for d, _ in lead],
-                [comp[r:r + width] for r in range(0, len(comp), width)], hit,
-                steps)
+        comp = _polys([e for row in packed for e in row[n:]],
+                      len(companion[0]), p)
+        return [d for d, _ in lead], comp, hit, steps
 
     for i, (d, _) in enumerate(lead):
         if d < 0:
@@ -466,22 +343,20 @@ def lower_tri_inverse(rows, p: int):
     d = Poly.one(p)
     for i in range(n):
         d = d * rows[i][i]
-    h = [[_pack(e) for e in row] for row in rows]
-    return [in_lattice(v, h, p) for v in scalar_rows(d, n)], d
+    return [in_lattice(v, rows, p) for v in scalar_rows(d, n)], d
 
 
 def in_lattice(v, h_rows, p: int):
-    """The coefficient row c (Poly) with c * H = v for lower-triangular
-    h_rows, or None when v is outside its span; entries Poly or packed.
-    Row j of H is taken by one _divide, whose remainder must vanish and
-    whose q is minus c_j."""
-    rem, bound, coeffs = [_pack(e) for e in v], p - 1, [0] * len(v)
+    """The coefficient row c with c * H = v for lower-triangular h_rows,
+    or None when v is outside its span.  Row j of H is taken by one
+    _divide, whose remainder must vanish and whose q is minus c_j."""
+    rem, bound, coeffs = [e.v for e in v], p - 1, [0] * len(v)
     for j in range(len(rem) - 1, -1, -1):
         rem[j] = _strip(rem[j], p)
         if rem[j]:
             coeffs[j], bound, _ = _divide(rem, bound,
-                                          [_pack(e) for e in h_rows[j]],
+                                          [e.v for e in h_rows[j]],
                                           p - 1, j, p)
             if rem[j]:
                 return None
-    return _unpack(coeffs, p, -1)
+    return _polys([_neg(c, p) for c in coeffs], len(v), p)[0]

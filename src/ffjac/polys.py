@@ -1,21 +1,27 @@
 """Dense univariate polynomial arithmetic over prime fields F_p.
 
-Coefficients are stored as numpy int64 arrays of residues, lowest degree
-first, with the zero polynomial represented by the empty array (so the zero
-polynomial never contributes a degree to any maximum). Products go through
-numpy convolution when p is small enough that convolution sums cannot
-overflow int64, and through Kronecker substitution on Python big ints
-otherwise, so every prime p < 2^31 is exact.
+A Poly holds one Python int, v: coefficient k in bits [64k, 64k + 64)
+(Kronecker substitution), every 64-bit digit reduced mod p.  The zero
+polynomial is 0, the top digit is the leading coefficient and the bit
+length gives the degree.  The matrix kernels of polymat compute on the
+same ints: they read e.v and wrap their results as Poly.
 
-Poly wraps an array and delegates to three primitives on raw arrays:
-_trim (drop leading zeros), _mul_arr and _divmod_arr.  The matrix
-kernels of polymat work on packed integers instead (see polymat).
+Digit bounds.  Sums and products of packed ints work digit by digit as
+long as no digit carries, and two digits below 2^63 add without one.  So
+arithmetic adds first and reduces later, exact for every p < 2^31, with
+the primitives of this module, which Poly and polymat share: _normalize
+reduces every digit mod p, _strip drops top digits that are 0 mod p,
+_neg negates the digits mod p with no borrow, _add_product adds q * rk
+to a row and _euclid divides one entry by another.  The last two track
+a bound on the digits and reduce mod p only when the next step could
+reach 2^63.
 
 poly_factor (Cantor-Zassenhaus) is the library's only factoring routine;
 nothing factors over an extension of F_p.
 
-Poly values are immutable (every operation returns a fresh Poly), so they
-can be shared freely across threads; the memos of orders cannot.
+Poly values are immutable (every operation returns a fresh Poly or one
+of its operands), so they can be shared freely across threads; the memos
+of orders cannot.
 """
 
 from __future__ import annotations
@@ -24,11 +30,9 @@ import random
 
 import numpy as np
 
-# Above this modulus a convolution sum of int64 products could overflow,
-# products switch to Kronecker substitution on Python ints.
-_CONV_LIMIT = 1 << 21
-
-_ZERO = np.zeros(0, dtype=np.int64)
+# every 64-bit digit of a packed int stays below this: none carries
+_DIGIT_LIMIT = 1 << 63
+_MASK = (1 << 64) - 1
 
 
 def _inv_mod(a: int, p: int) -> int:
@@ -39,157 +43,216 @@ def _inv_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-def _trim(c: np.ndarray) -> np.ndarray:
-    n = len(c)
-    while n > 0 and c[n - 1] == 0:
-        n -= 1
-    return c[:n] if n < len(c) else c
-
-
-def _mul_arr(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Product of two trimmed coefficient arrays."""
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return _ZERO
-    if la == 1:
-        return (b * int(a[0])) % p
-    if lb == 1:
-        return (a * int(b[0])) % p
-    if p < _CONV_LIMIT:
-        return np.convolve(a, b) % p
-    # Kronecker substitution: pack into one big integer, exact for p < 2^31
-    bits = 2 * (p - 1).bit_length() + min(la, lb).bit_length() + 1
-    pa = sum(int(v) << (bits * i) for i, v in enumerate(a))
-    pb = sum(int(v) << (bits * i) for i, v in enumerate(b))
-    prod = pa * pb
-    mask = (1 << bits) - 1
-    out = np.zeros(la + lb - 1, dtype=np.int64)
-    for i in range(la + lb - 1):
-        out[i] = (prod & mask) % p
-        prod >>= bits
+def _normalize(ents, p: int):
+    """The packed ints with every digit reduced mod p: up to ten digits in
+    all digit by digit, more in one numpy pass."""
+    sizes = [(e.bit_length() + 63) >> 6 for e in ents]
+    if sum(sizes) <= 10:
+        out = []
+        for e in ents:
+            r = k = 0
+            while e:
+                r |= (e & _MASK) % p << k
+                e >>= 64
+                k += 64
+            out.append(r)
+        return out
+    buf = b"".join(e.to_bytes(s << 3, "little") for e, s in zip(ents, sizes))
+    buf = (np.frombuffer(buf, "<u8") % p).tobytes()
+    out, pos = [], 0
+    for s in sizes:
+        out.append(int.from_bytes(buf[pos:pos + (s << 3)], "little"))
+        pos += s << 3
     return out
 
 
-def _divmod_arr(a: np.ndarray, b: np.ndarray, p: int):
-    """Trimmed quotient and remainder of coefficient arrays, b nonzero."""
-    db, da = len(b) - 1, len(a) - 1
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    if da < db:
-        return _ZERO, a
-    inv_lc = _inv_mod(int(b[-1]), p)
+def _strip(e: int, p: int) -> int:
+    """e without its top digits that are 0 mod p, so that its top digit
+    gives its degree and, mod p, its leading coefficient."""
+    t = (e.bit_length() - 1) >> 6
+    while t >= 0 and (e >> (t << 6)) % p == 0:
+        e &= (1 << (t << 6)) - 1
+        t = (e.bit_length() - 1) >> 6
+    return e
+
+
+def _neg(e: int, p: int) -> int:
+    """Digits congruent to minus those of e mod p, for digits below 2^63:
+    each is m - d for the multiple m of p just above 2^63, so none
+    borrows, and each stays below 2^64 - 2p."""
+    m = -(-_DIGIT_LIMIT // p) * p
+    return m * (((1 << (((e.bit_length() + 63) >> 6) << 6)) - 1) // _MASK) - e
+
+
+def _add_product(ri, bi, q, qb, rk, bk, j, p: int):
+    """ri[t] += q * rk[t] for every t but j (all packed); bi, qb and bk
+    (below p) bound the digits of ri, q and rk, and each digit of q adds
+    at most qb * bk.  Where that could reach 2^63, ri is reduced mod p,
+    then q; a q with more digits than one product of reduced operands can
+    take (fewer than about 2^30 only for p near 2^31) goes a piece at a
+    time.  Returns the new bi."""
+    lo = 0
+    while q:
+        k = (q.bit_length() + 63) >> 6
+        piece = q
+        if bi + k * qb * bk >= _DIGIT_LIMIT:
+            ri[:], bi = _normalize(ri, p), p - 1
+            if bi + k * qb * bk >= _DIGIT_LIMIT and qb >= p:
+                q = piece = _normalize([q], p)[0]
+                qb = p - 1
+            span = (_DIGIT_LIMIT - 1 - bi) // (qb * bk)
+            if k > span:
+                k = span
+                piece = q & ((1 << (k << 6)) - 1)
+        for t, e in enumerate(rk):
+            if e and t != j:
+                ri[t] += (piece * e) << (lo << 6)
+        bi += k * qb * bk
+        q >>= k << 6
+        lo += k
+    return bi
+
+
+def _euclid(a: int, ab: int, b: int, bk: int, p: int):
+    """(q, qb, r, rb): a + q * b = r with r stripped and of lower degree
+    than b, so q is minus the quotient (b stripped and nonzero; ab, bk,
+    qb and rb bound the digits of a, b, q and r).  A constant b gives q =
+    a times minus its inverse, else one simple transformation per digit
+    m of q, which adds at most m * bk to a, reduced mod p first when that
+    could reach 2^63."""
+    db = (b.bit_length() - 1) >> 6
+    inv = pow(b >> (db << 6), -1, p)
     if db == 0:
-        return (a * inv_lc) % p, _ZERO
-    rem = a.copy()
-    q = np.zeros(da - db + 1, dtype=np.int64)
-    for k in range(da - db, -1, -1):
-        coef = int(rem[k + db])
-        if coef:
-            coef = coef * inv_lc % p
-            q[k] = coef
-            rem[k : k + db + 1] = (rem[k : k + db + 1] - coef * b) % p
-    return _trim(q), _trim(rem[:db])
+        if ab * (p - inv) >= _DIGIT_LIMIT:
+            a, ab = _normalize([a], p)[0], p - 1
+        return a * (p - inv), ab * (p - inv), 0, 0
+    q = 0
+    while True:
+        da = (a.bit_length() - 1) >> 6
+        if da < db:
+            return q, p - 1, a, ab
+        m = -(a >> (da << 6)) * inv % p
+        if ab + m * bk >= _DIGIT_LIMIT:
+            a, ab = _normalize([a], p)[0], p - 1
+        s = (da - db) << 6
+        a = _strip((a + ((m * b) << s)) & ((1 << (da << 6)) - 1), p)
+        q += m << s
+        ab += m * bk
+
+
+def _poly(v: int, p: int) -> "Poly":
+    """The Poly of the packed int v, every digit already reduced mod p."""
+    f = object.__new__(Poly)
+    f.p = p
+    f.v = v
+    return f
+
+
+def _reduced(v: int, p: int) -> "Poly":
+    """The Poly of the packed int v, its digits reduced mod p here."""
+    return _poly(_normalize([v], p)[0], p)
 
 
 class Poly:
-    """Polynomial over F_p, coefficients lowest degree first."""
+    """Polynomial over F_p from its coefficients, lowest degree first."""
 
-    __slots__ = ("p", "c")
+    __slots__ = ("p", "v")
 
     def __init__(self, coeffs, p: int):
-        if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int64:
-            c = coeffs % p
-        else:
-            c = np.asarray([int(v) % p for v in coeffs], dtype=np.int64)
-        c = _trim(c)
         self.p = p
-        self.c = c
-        c.setflags(write=False)
+        self.v = int.from_bytes(b"".join((int(c) % p).to_bytes(8, "little")
+                                         for c in coeffs), "little")
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def zero(p: int) -> "Poly":
-        return _mk(_ZERO, p)
+        return _poly(0, p)
 
     @staticmethod
     def one(p: int) -> "Poly":
-        return _mk(np.ones(1, dtype=np.int64), p)
+        return _poly(1, p)
 
     @staticmethod
     def x(p: int) -> "Poly":
-        return Poly([0, 1], p)
+        return _poly(1 << 64, p)
 
     # -- basic queries --------------------------------------------------------
 
     @property
     def deg(self) -> int:
         """Degree; -1 for the zero polynomial (kept out of maxima by callers)."""
-        return len(self.c) - 1
+        return (self.v.bit_length() - 1) >> 6
 
     def is_zero(self) -> bool:
-        return len(self.c) == 0
+        return not self.v
 
     def is_one(self) -> bool:
-        return len(self.c) == 1 and self.c[0] == 1
+        return self.v == 1
 
     @property
     def lc(self) -> int:
         """Leading coefficient as an int residue; 0 for the zero polynomial."""
-        return int(self.c[-1]) if len(self.c) else 0
+        v = self.v
+        return v >> (((v.bit_length() - 1) >> 6) << 6) if v else 0
 
     def coeff(self, k: int) -> int:
-        return int(self.c[k]) if 0 <= k < len(self.c) else 0
+        return (self.v >> (k << 6)) & _MASK if k >= 0 else 0
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(int(v) for v in self.c)
+        return tuple(np.frombuffer(self.key(), "<u8").tolist())
 
     def key(self) -> bytes:
-        """Canonical bytes, usable as a dict key within one field."""
-        return self.c.tobytes()
+        """Canonical bytes, usable as a dict key within one field: the
+        coefficients as little-endian 64-bit words."""
+        v = self.v
+        return v.to_bytes(((v.bit_length() + 63) >> 6) << 3, "little")
 
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        out = a.copy()
-        if len(b):
-            out[: len(b)] = (out[: len(b)] + b) % self.p
-        return _mk(_trim(out), self.p)
+        if not other.v:
+            return self
+        if not self.v:
+            return other
+        return _reduced(self.v + other.v, self.p)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        a, b = self.c, other.c
-        n = max(len(a), len(b))
-        out = np.zeros(n, dtype=np.int64)
-        out[: len(a)] = a
-        if len(b):
-            out[: len(b)] = (out[: len(b)] - b) % self.p
-        return _mk(_trim(out), self.p)
+        if not other.v:
+            return self
+        return _reduced(self.v + _neg(other.v, self.p), self.p)
 
     def __neg__(self) -> "Poly":
-        return _mk((-self.c) % self.p, self.p)
+        return _reduced(_neg(self.v, self.p), self.p)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        return _mk(_mul_arr(self.c, other.c, self.p), self.p)
+        """Directly when no digit of the product can reach 2^63, else
+        through _add_product, which applies the shorter factor in pieces."""
+        a, b, p = self.v, other.v, self.p
+        if a.bit_length() > b.bit_length():
+            a, b = b, a
+        if not a:
+            return _poly(0, p)
+        if ((a.bit_length() + 63) >> 6) * (p - 1) ** 2 < _DIGIT_LIMIT:
+            return _reduced(a * b, p)
+        out = [0]
+        _add_product(out, 0, a, p - 1, [b], p - 1, None, p)
+        return _reduced(out[0], p)
 
     def scale(self, v: int) -> "Poly":
         v %= self.p
         if v == 0:
-            return _mk(_ZERO, self.p)
+            return _poly(0, self.p)
         if v == 1:
             return self
-        return _mk((self.c * v) % self.p, self.p)
+        return _reduced(self.v * v, self.p)
 
     def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero() or k == 0:
-            return self
-        out = np.zeros(len(self.c) + k, dtype=np.int64)
-        out[k:] = self.c
-        return _mk(out, self.p)
+        """Multiply by x^k; a negative k drops the -k lowest coefficients."""
+        if k >= 0:
+            return _poly(self.v << (k << 6), self.p)
+        return _poly(self.v >> (-k << 6), self.p)
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.lc == 1:
@@ -212,8 +275,14 @@ class Poly:
 
     def divmod(self, other: "Poly"):
         """Quotient and remainder; other must be nonzero."""
-        q, r = _divmod_arr(self.c, other.c, self.p)
-        return _mk(q, self.p), _mk(r, self.p)
+        p, a, b = self.p, self.v, other.v
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.deg < other.deg:
+            return _poly(0, p), self
+        q, _, r, _ = _euclid(a, p - 1, b, p - 1, p)
+        q, r = _normalize([_neg(q, p), r], p)
+        return _poly(q, p), _poly(r, p)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
@@ -233,35 +302,28 @@ class Poly:
         return (other % self).is_zero()
 
     def derivative(self) -> "Poly":
-        if self.deg < 1:
-            return _mk(_ZERO, self.p)
-        k = np.arange(1, len(self.c), dtype=np.int64)
-        return _mk(_trim((self.c[1:] * k) % self.p), self.p)
+        c = self.coeffs
+        return Poly([k * c[k] for k in range(1, len(c))], self.p)
 
     def reverse(self, n: int) -> "Poly":
         """x^n * f(1/x); n must be at least deg(f)."""
         if n < self.deg:
             raise ValueError("reverse length below degree")
-        out = np.zeros(n + 1, dtype=np.int64)
-        if len(self.c):
-            out[n - self.deg :] = self.c[::-1]
-        return _mk(_trim(out), self.p)
+        rev = np.frombuffer(self.key(), "<u8")[::-1].tobytes()
+        return _poly(int.from_bytes(rev, "little") << ((n - self.deg) << 6),
+                     self.p)
 
     # -- comparisons ---------------------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.p == other.p
-            and len(self.c) == len(other.c)
-            and bool(np.all(self.c == other.c))
-        )
+        return (isinstance(other, Poly) and self.p == other.p
+                and self.v == other.v)
 
     def __hash__(self):
-        return hash((self.p, self.c.tobytes()))
+        return hash((self.p, self.v))
 
     def __bool__(self):
-        return len(self.c) != 0
+        return self.v != 0
 
     def __repr__(self):
         return "Poly(%s, p=%d)" % (poly_str(self), self.p)
@@ -273,12 +335,18 @@ def _int_list(c) -> bool:
         isinstance(v, int) and not isinstance(v, bool) for v in c)
 
 
-def _mk(c: np.ndarray, p: int) -> Poly:
-    obj = Poly.__new__(Poly)
-    obj.p = p
-    obj.c = c
-    c.setflags(write=False)
-    return obj
+def cancel(entries, den: Poly):
+    """(entries / g, den / g) for g the monic gcd of den and the entries,
+    from den on and stopping once it reaches 1; den is nonzero."""
+    g = den.monic()
+    for e in entries:
+        if g.is_one():
+            break
+        if e:
+            g = poly_gcd(e, g)
+    if g.is_one():
+        return list(entries), den
+    return [e.exact_div(g) for e in entries], den.exact_div(g)
 
 
 def poly_str(f: Poly, var: str = "x") -> str:
@@ -319,8 +387,7 @@ def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
 
 def _pth_root(f: Poly) -> Poly:
     """For f = g(x^p) over F_p returns the p-th root h with h^p = f."""
-    p = f.p
-    return _mk(f.c[::p].copy(), p)
+    return Poly(f.coeffs[::f.p], f.p)
 
 
 def poly_squarefree_decomposition(f: Poly):
@@ -467,14 +534,12 @@ def poly_is_irreducible(f: Poly) -> bool:
 
 def enumerate_monic_irreducibles(p: int, d: int):
     """Yield every monic irreducible of degree d over F_p (p^d candidates)."""
-    base = np.zeros(d + 1, dtype=np.int64)
-    base[d] = 1
+    top = 1 << (d << 6)
     for idx in range(p**d):
-        c = base.copy()
-        v = idx
+        v = top
         for k in range(d):
-            c[k] = v % p
-            v //= p
-        f = _mk(c, p)
+            v |= idx % p << (k << 6)
+            idx //= p
+        f = _poly(v, p)
         if d == 1 or poly_is_irreducible(f):
             yield f

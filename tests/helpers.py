@@ -12,9 +12,8 @@ from ffjac.fieldgen import expected_structured_genus
 from ffjac.orders import (Ideal, _q_multiplicity, decompose_prime,
                           ideal_inv, ideal_mul, ideal_one)
 from ffjac.polymat import (bareiss_det, fp_rref, hnf_square,
-                           lower_tri_inverse)
-from ffjac.polys import (_ZERO, Poly, _divmod_arr, _inv_mod, _mk, _mul_arr,
-                         _trim, poly_factor)
+                           lower_tri_inverse, mat_mul)
+from ffjac.polys import Poly, _inv_mod, poly_factor, poly_gcd
 from ffjac.riemann_roch import rr_dim
 
 
@@ -142,6 +141,26 @@ def element_of_place(ctx, place):
         ctx.A, place.degree()))
 
 
+def infinite_coords_by_gcd(field, elem):
+    """(v, dtot, g): divisors.infinite_coords with g, the full gcd of the
+    coordinates and the denominator, cancelled, not only its power of u."""
+    p, e = field.p, field.cf
+    oi = field.infinite_order()
+    den = elem.den
+    dden = den.deg
+    m = max(c.deg + e * i - dden for i, c in enumerate(elem.num)
+            if not c.is_zero())
+    cnum = [c if c.is_zero() else c.reverse(m + dden - e * i)
+            for i, c in enumerate(elem.num)]
+    ginv, det = oi.tri_inverse()
+    v = [t * oi.den for t in mat_mul([cnum], ginv, p)[0]]
+    dtot = den.reverse(dden + m) * det
+    g = dtot
+    for t in v:
+        g = poly_gcd(g, t)
+    return [t.exact_div(g) for t in v], dtot.exact_div(g), g
+
+
 def val_ideal(pr, ideal) -> int:
     """Valuation of a fractional ideal at the prime pr."""
     v = min(pr.val_coords(row) for row in ideal.h)
@@ -166,11 +185,153 @@ def finite_support(div):
     return out
 
 
-# -- the array kernels that polymat's packed ones replaced, as oracles ------
+# -- Poly on numpy coefficient arrays, as it was before it held a packed
+# int, and the array kernels that polymat's packed ones replaced: oracles --
+
+_ZERO = np.zeros(0, dtype=np.int64)
+
+# Above this modulus a convolution sum of int64 products could overflow,
+# products switch to Kronecker substitution on Python ints.
+_CONV_LIMIT = 1 << 21
+
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    n = len(c)
+    while n > 0 and c[n - 1] == 0:
+        n -= 1
+    return c[:n] if n < len(c) else c
+
+
+def _mul_arr(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Product of two trimmed coefficient arrays."""
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return _ZERO
+    if la == 1:
+        return (b * int(a[0])) % p
+    if lb == 1:
+        return (a * int(b[0])) % p
+    if p < _CONV_LIMIT:
+        return np.convolve(a, b) % p
+    # Kronecker substitution: pack into one big integer, exact for p < 2^31
+    bits = 2 * (p - 1).bit_length() + min(la, lb).bit_length() + 1
+    pa = sum(int(v) << (bits * i) for i, v in enumerate(a))
+    pb = sum(int(v) << (bits * i) for i, v in enumerate(b))
+    prod = pa * pb
+    mask = (1 << bits) - 1
+    out = np.zeros(la + lb - 1, dtype=np.int64)
+    for i in range(la + lb - 1):
+        out[i] = (prod & mask) % p
+        prod >>= bits
+    return out
+
+
+def _divmod_arr(a: np.ndarray, b: np.ndarray, p: int):
+    """Trimmed quotient and remainder of coefficient arrays, b nonzero."""
+    db, da = len(b) - 1, len(a) - 1
+    if db < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    if da < db:
+        return _ZERO, a
+    inv_lc = _inv_mod(int(b[-1]), p)
+    if db == 0:
+        return (a * inv_lc) % p, _ZERO
+    rem = a.copy()
+    q = np.zeros(da - db + 1, dtype=np.int64)
+    for k in range(da - db, -1, -1):
+        coef = int(rem[k + db])
+        if coef:
+            coef = coef * inv_lc % p
+            q[k] = coef
+            rem[k : k + db + 1] = (rem[k : k + db + 1] - coef * b) % p
+    return _trim(q), _trim(rem[:db])
+
+
+def _arr(f: Poly) -> np.ndarray:
+    return np.array(f.coeffs, dtype=np.int64)
+
+
+def _mk(c: np.ndarray, p: int) -> Poly:
+    return Poly(c.tolist(), p)
+
+
+class ArrayPoly:
+    """Poly's arithmetic on a trimmed int64 coefficient array c."""
+
+    __slots__ = ("p", "c")
+
+    def __init__(self, coeffs, p: int):
+        self.p = p
+        self.c = _trim(np.array([int(v) % p for v in coeffs], dtype=np.int64))
+
+    @property
+    def deg(self) -> int:
+        return len(self.c) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(int(v) for v in self.c)
+
+    def key(self) -> bytes:
+        return self.c.tobytes()
+
+    def __add__(self, other):
+        a, b = self.c, other.c
+        if len(a) < len(b):
+            a, b = b, a
+        out = a.copy()
+        out[:len(b)] = (out[:len(b)] + b) % self.p
+        return ArrayPoly(out, self.p)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return ArrayPoly((-self.c) % self.p, self.p)
+
+    def __mul__(self, other):
+        return ArrayPoly(_mul_arr(self.c, other.c, self.p), self.p)
+
+    def divmod(self, other):
+        q, r = _divmod_arr(self.c, other.c, self.p)
+        return ArrayPoly(q, self.p), ArrayPoly(r, self.p)
+
+    def exact_div(self, other):
+        q, r = self.divmod(other)
+        if len(r.c):
+            raise ArithmeticError("exact_div with nonzero remainder")
+        return q
+
+    def monic(self):
+        if not len(self.c):
+            return self
+        inv = _inv_mod(int(self.c[-1]), self.p)
+        return ArrayPoly(self.c * inv % self.p, self.p)
+
+    def shift(self, k: int):
+        return ArrayPoly(np.concatenate((np.zeros(k, np.int64), self.c)),
+                         self.p)
+
+    def reverse(self, n: int):
+        out = np.zeros(n + 1, dtype=np.int64)
+        if len(self.c):
+            out[n - self.deg:] = self.c[::-1]
+        return ArrayPoly(out, self.p)
+
+    def derivative(self):
+        k = np.arange(len(self.c), dtype=np.int64)
+        return ArrayPoly((self.c * k)[1:] % self.p, self.p)
+
+
+def array_gcd(a: ArrayPoly, b: ArrayPoly) -> ArrayPoly:
+    """Monic gcd by Euclid on arrays; gcd(0, 0) is zero."""
+    while len(b.c):
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
 
 
 def _arrays(rows):
-    return [[e.c for e in row] for row in rows]
+    return [[_arr(e) for e in row] for row in rows]
 
 
 def _polys(rows, p: int):
@@ -277,7 +438,7 @@ def hnf_square_arrays(rows, p: int, mod: Poly = None):
     n = len(active[0])
     rem_row = None
     if mod is not None:
-        dc = mod.monic().c
+        dc = _arr(mod.monic())
         d = dc.size - 1
         dinv = _rev_inverse(dc, p)
 
@@ -330,17 +491,17 @@ def hnf_square_arrays(rows, p: int, mod: Poly = None):
 def in_lattice_arrays(v, h_rows, p: int):
     """polymat.in_lattice on coefficient arrays: the coefficient row c
     with c * H = v for lower-triangular h_rows, or None."""
-    rem = [e.c for e in v]
+    rem = [_arr(e) for e in v]
     coeffs = [Poly.zero(p)] * len(v)
     for j in range(len(v) - 1, -1, -1):
         if not rem[j].size:
             continue
-        q, r = _divmod_arr(rem[j], h_rows[j][j].c, p)
+        q, r = _divmod_arr(rem[j], _arr(h_rows[j][j]), p)
         if r.size:
             return None
         coeffs[j] = _mk(q, p)
         # rem[j] is now r = 0 and is not read again
-        _sub_scaled(rem, [e.c for e in h_rows[j][:j]], q, p)
+        _sub_scaled(rem, [_arr(e) for e in h_rows[j][:j]], q, p)
     return coeffs
 
 

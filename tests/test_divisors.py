@@ -1,13 +1,15 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from ffjac.field import make_field, FFElem
 from ffjac.polys import Poly
-from ffjac.divisors import (Divisor, infinite_places, finite_places_above,
-                            principal_divisor, infinite_valuations)
-from helpers import (find_finite_degree_one_place, finite_support, inverse,
-                     scale)
+from ffjac.divisors import (Divisor, infinite_coords, infinite_places,
+                            finite_places_above, principal_divisor,
+                            infinite_valuations)
+from helpers import (find_finite_degree_one_place, finite_support,
+                     infinite_coords_by_gcd, inverse, scale)
 
 p5 = 5
 
@@ -30,6 +32,36 @@ def random_elem(field, rng):
         a = FFElem(field, num, den)
         if any(not c.is_zero() for c in a.num):
             return a
+
+
+def test_infinite_coords_valuations_match_the_full_gcd():
+    # infinite_coords cancels only the common power of u; the valuations
+    # at the places over u must not see the factors prime to u that the
+    # full gcd would also cancel.  Elements given with a common factor h
+    # of numerator and denominator (not cancelled, as FFElem would) keep
+    # rev(h), which is prime to u, in both coordinates
+    rng = random.Random(17)
+    u_power = prime_to_u = 0
+    for field in small_fields():
+        p = field.p
+        places = infinite_places(field)
+        for case in range(20):
+            a = random_elem(field, rng)
+            if case % 4 == 3:
+                h = Poly([rng.randrange(p) for _ in range(2)] + [1], p)
+                a = SimpleNamespace(num=[c * h for c in a.num],
+                                    den=a.den * h)
+            got = infinite_coords(field, a)
+            *want, g = infinite_coords_by_gcd(field, a)
+            for pl in places:
+                assert (pl.prime.val_fraction(*got)
+                        == pl.prime.val_fraction(*want))
+            prime_to_u += got[1].deg > want[1].deg
+            if g == Poly.x(p) ** g.deg:
+                # the gcd is a power of u: the same pair
+                assert got == (want[0], want[1])
+                u_power += g.deg > 0
+    assert prime_to_u >= 10 and u_power >= 10
 
 
 def test_infinite_place_shapes():

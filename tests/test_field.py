@@ -196,7 +196,7 @@ def test_acceptance_on_polynomials_of_known_shape():
         # an irreducible with constant coefficients: constant field F_(p^n)
         g = rng.choice(list(enumerate_monic_irreducibles(p, n)))
         with pytest.raises(ValueError, match="constant field"):
-            make_field(p, n, [[int(c)] for c in g.c[:-1]])
+            make_field(p, n, [[c] for c in g.coeffs[:-1]])
         # h(t^p) has zero derivative
         m = rng.choice((1, 2))
         h = _monic(rng, p, m, 2)

@@ -188,6 +188,23 @@ CHAIN_DIGESTS = {
         "964e80c870e82caabe27fc712de52e32b58ce4419f5a4d69760cbba8a723336b",
 }
 
+# ctx.counters.as_dict() at the end of the same chains, recorded before
+# Poly and the matrix kernels shared one packed representation
+CHAIN_COUNTERS = {
+    "reduce-q7-g3": {
+        "ssrr_calls": 53, "partial_additions": 66, "ssrr_cache_hits": 42,
+        "ssrr_cache_misses": 11, "infinite_cache_hits": 60,
+        "infinite_cache_misses": 16, "row_reduce_steps": 266},
+    "add-chain-g28": {
+        "ssrr_calls": 52, "partial_additions": 57, "ssrr_cache_hits": 46,
+        "ssrr_cache_misses": 6, "infinite_cache_hits": 69,
+        "infinite_cache_misses": 7, "row_reduce_steps": 4346},
+    "add-chain-n6": {
+        "ssrr_calls": 52, "partial_additions": 57, "ssrr_cache_hits": 46,
+        "ssrr_cache_misses": 6, "infinite_cache_hits": 69,
+        "infinite_cache_misses": 7, "row_reduce_steps": 6045},
+}
+
 
 @pytest.mark.parametrize("name", sorted(CHAIN_DIGESTS))
 def test_addition_chain_representatives_pinned(name):
@@ -204,6 +221,7 @@ def test_addition_chain_representatives_pinned(name):
         digest.update(x.fin.key())
         digest.update(repr((x.r, x.vec)).encode())
     assert digest.hexdigest() == CHAIN_DIGESTS[name]
+    assert ctx.counters.as_dict() == CHAIN_COUNTERS[name]
 
 
 def test_warm_start_answers_as_a_cold_start(monkeypatch):

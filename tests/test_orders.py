@@ -28,7 +28,7 @@ from ffjac.orders import (
     _radical_ideal,
     discriminant_support,
 )
-from ffjac.polymat import (_vm, hnf_square, in_lattice, lower_tri_inverse,
+from ffjac.polymat import (hnf_square, in_lattice, lower_tri_inverse,
                            mat_mul, scalar_rows)
 from ffjac.polys import Poly, enumerate_monic_irreducibles, poly_factor
 from helpers import (dual_by_second_hnf, element_of_place, norm, scale,
@@ -86,7 +86,7 @@ def test_order_multiplication_matches_field():
                  for _ in range(n)]
             v = [Poly([rng.randrange(p) for _ in range(3)], p)
                  for _ in range(n)]
-            w = _vm(u, o.elem_mul_matrix(v), p)
+            w = mat_mul([u], o.elem_mul_matrix(v), p)[0]
             eu = FFElem(f, mat_mul([u], o.basis, p)[0], o.den)
             ev = FFElem(f, mat_mul([v], o.basis, p)[0], o.den)
             ew = FFElem(f, mat_mul([w], o.basis, p)[0], o.den)
@@ -180,7 +180,7 @@ def test_element_valuations_multiplicative():
                  for _ in range(n)]
             if all(e.is_zero() for e in u) or all(e.is_zero() for e in v):
                 continue
-            w = _vm(u, o.elem_mul_matrix(v), p)
+            w = mat_mul([u], o.elem_mul_matrix(v), p)[0]
             for pr in primes:
                 assert pr.val_coords(w) == pr.val_coords(u) + pr.val_coords(v)
 
@@ -297,7 +297,7 @@ def ref_mul(a, b):
     rows = []
     for v in b.h:
         m = order.elem_mul_matrix(v)
-        rows += [_vm(u, m, p) for u in a.h]
+        rows += mat_mul(a.h, m, p)
     return Ideal(order, rows, a.den * b.den)
 
 

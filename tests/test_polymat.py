@@ -4,12 +4,9 @@ import sys
 
 import pytest
 
-from ffjac import polymat
+from ffjac import polymat, polys
 from ffjac.polys import Poly
 from ffjac.polymat import (
-    _pack,
-    _unpack,
-    _vm,
     bareiss_det,
     hnf_square,
     in_lattice,
@@ -24,7 +21,7 @@ from helpers import (fp_kernel, hnf_square_arrays, in_lattice_arrays,
                      leading_matrix, row_reduce_arrays)
 
 P = 32771
-# above polys._CONV_LIMIT: every product takes the Kronecker path
+# (p - 1)^2 is about 2^62: the digit bounds of the kernels bind at once
 BIG = 2**31 - 1
 
 
@@ -457,23 +454,16 @@ def test_in_lattice_rejects_outsider():
     assert got == [Poly.one(p), z]
 
 
-def packed(rows):
-    return [[_pack(e) for e in row] for row in rows]
-
-
 def assert_same_hnf(rows, p, mod=None):
     """hnf_square and the array-based oracle agree on the key, raising
-    included; the rows are also given packed.  Returns whether the rows
-    had full column rank."""
+    included.  Returns whether the rows had full column rank."""
     try:
         want = mat_key(hnf_square_arrays(rows, p, mod))
     except ArithmeticError as exc:
-        for given in (rows, packed(rows)):
-            with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
-                hnf_square(given, p, mod)
+        with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
+            hnf_square(rows, p, mod)
         return False
     assert mat_key(hnf_square(rows, p, mod)) == want
-    assert mat_key(hnf_square(packed(rows), p, mod)) == want
     return True
 
 
@@ -513,7 +503,6 @@ def test_in_lattice_matches_array_oracle(p):
         for v in (mat_mul([c], h, p)[0], rand_matrix(rng, p, 1, n, 8)[0]):
             want = in_lattice_arrays(v, h, p)
             assert in_lattice(v, h, p) == want
-            assert in_lattice(packed([v])[0], packed(h), p) == want
             hits += want is not None
             misses += want is None
     assert hits >= 16 and misses >= 4
@@ -534,14 +523,16 @@ def test_hnf_square_strips_top_digits_zero_mod_p():
 
 
 def count_normalize(monkeypatch):
-    """List that receives the caller of every _normalize call."""
+    """List that receives the caller of every _normalize call, from polys
+    (Poly and the digit-bound primitives) and from polymat."""
     calls = []
-    real = polymat._normalize
+    real = polys._normalize
 
     def normalize(ents, p):
         calls.append(sys._getframe(1).f_code.co_name)
         return real(ents, p)
 
+    monkeypatch.setattr(polys, "_normalize", normalize)
     monkeypatch.setattr(polymat, "_normalize", normalize)
     return calls
 
@@ -549,8 +540,8 @@ def count_normalize(monkeypatch):
 def test_hnf_square_splits_a_long_quotient_at_p_near_2_31(monkeypatch):
     # a quotient of 36 digits at p = 2^31 - 1: each digit adds up to about
     # 2^62 to the column entry, which is reduced mod p part way through
-    # the quotient (_divide); the other entry then takes the quotient two
-    # digits at a time, reduced mod p in between (_add_product)
+    # the quotient (_euclid, _divide); the other entry then takes the
+    # quotient two digits at a time, reduced mod p in between (_add_product)
     rng = random.Random(71)
     calls = count_normalize(monkeypatch)
     long = Poly([rng.randrange(BIG) for _ in range(40)] + [1], BIG)
@@ -558,8 +549,8 @@ def test_hnf_square_splits_a_long_quotient_at_p_near_2_31(monkeypatch):
     other = Poly([rng.randrange(BIG) for _ in range(8)], BIG)
     rows = [[other, long], [Poly.one(BIG), short]]
     assert_same_hnf(rows, BIG)
-    assert calls.count("_divide") >= 2 * 36 // 4
-    assert calls.count("_add_product") >= 2 * 36 // 2
+    assert calls.count("_euclid") + calls.count("_divide") >= 36 // 4
+    assert calls.count("_add_product") >= 36 // 2
 
 
 def test_hnf_square_normalizes_pivots_past_2_32(monkeypatch):
@@ -573,7 +564,7 @@ def test_hnf_square_normalizes_pivots_past_2_32(monkeypatch):
     c, d = (Poly([rng.randrange(BIG) for _ in range(4)], BIG)
             for _ in range(2))
     assert_same_hnf([[c, a], [d, b]], BIG)
-    assert len(calls) > 2 * 12
+    assert calls.count("_divide") >= 12
 
 
 def test_hnf_square_reduces_long_entries_mod_d_near_2_31():
@@ -618,20 +609,21 @@ def test_vm_applies_long_entries_in_pieces_near_2_31():
 
     v = [near_p()]
     rows = [[near_p() for _ in range(2)]]
-    assert _unpack(_vm(v, packed(rows), BIG), BIG) == poly_vm(v, rows, BIG)
+    assert mat_mul([v], rows, BIG)[0] == poly_vm(v, rows, BIG)
 
 
 def test_vm_normalizes_between_rows_near_2_31(monkeypatch):
     # p = 2^31 - 1: every row adds up to 2 * (p - 1)^2, about 2^63, to the
     # output's digits, so they are reduced mod p before each further row
     rng = random.Random(97)
-    calls = count_normalize(monkeypatch)
     v = [Poly([rng.randrange(BIG) for _ in range(2)], BIG)
          for _ in range(6)]
     rows = [[Poly([rng.randrange(BIG) for _ in range(3)], BIG)
              for _ in range(2)] for _ in range(6)]
-    assert _unpack(_vm(v, packed(rows), BIG), BIG) == poly_vm(v, rows, BIG)
-    assert calls == ["_add_product"] * 5 + ["_vm"]
+    want = poly_vm(v, rows, BIG)
+    calls = count_normalize(monkeypatch)
+    assert mat_mul([v], rows, BIG)[0] == want
+    assert calls == ["_add_product"] * 5 + ["_polys"]
 
 
 def test_in_lattice_constant_pivots_near_2_31(monkeypatch):
@@ -653,4 +645,4 @@ def test_in_lattice_constant_pivots_near_2_31(monkeypatch):
         v = mat_mul([c], h, BIG)[0]
         assert in_lattice(v, h, BIG) == c
         assert in_lattice_arrays(v, h, BIG) == c
-    assert "_divide" in calls and "_add_product" in calls
+    assert "_euclid" in calls and "_add_product" in calls

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from ffjac import polys
 from ffjac.polys import (
     Poly,
+    cancel,
     enumerate_monic_irreducibles,
     poly_factor,
     poly_gcd,
@@ -15,8 +17,100 @@ from ffjac.polys import (
 )
 
 
+from helpers import ArrayPoly, array_gcd
+
+
 def rand_poly(rng, p, d):
     return Poly([rng.randrange(p) for _ in range(d + 1)], p)
+
+
+BIG = 2**31 - 1
+
+
+def rand_pair(rng, p):
+    """A Poly and its array oracle from one coefficient list: degrees up
+    to 130, top coefficients sometimes zero, now and then all zero."""
+    d = rng.choice((-1, 0, 1, 2, 5, 63, 64, 65, 100, 130))
+    c = [rng.randrange(p) for _ in range(d + 1)]
+    if c and rng.randrange(4) == 0:
+        c[-1] = 0
+    return Poly(c, p), ArrayPoly(c, p)
+
+
+def assert_same(f, g):
+    assert f.coeffs == g.coeffs
+    assert f.key() == g.key()
+    assert f.deg == g.deg
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 32771, BIG])
+def test_packed_poly_matches_array_oracle(p, monkeypatch):
+    # every operation against numpy int64 coefficient arrays; at p near
+    # 2^31 a product of two entries of two or more digits could take a
+    # digit to 2^63 and goes through _add_product
+    calls = []
+    real = polys._add_product
+
+    def add_product(*args):
+        calls.append(args[2].bit_length())
+        return real(*args)
+
+    monkeypatch.setattr(polys, "_add_product", add_product)
+    rng = random.Random("packed poly %d" % p)
+    for _ in range(60):
+        (a, oa), (b, ob) = rand_pair(rng, p), rand_pair(rng, p)
+        assert a == Poly(list(oa.coeffs) + [0, 0], p)
+        assert (a == b) == (oa.key() == ob.key())
+        assert hash(a) == hash(Poly(oa.coeffs, p))
+        k = rng.randrange(70)
+        n = max(a.deg, 0) + rng.randrange(70)
+        for f, g in ((a + b, oa + ob), (a - b, oa - ob), (-a, -oa),
+                     (a * b, oa * ob), (a.monic(), oa.monic()),
+                     (a.shift(k), oa.shift(k)), (a.shift(k).shift(-k), oa),
+                     (a.reverse(n), oa.reverse(n)),
+                     (a.derivative(), oa.derivative()),
+                     (poly_gcd(a, b), array_gcd(oa, ob))):
+            assert_same(f, g)
+        if b:
+            q, r = a.divmod(b)
+            oq, orem = oa.divmod(ob)
+            assert_same(q, oq)
+            assert_same(r, orem)
+            assert_same((a * b).exact_div(b), (oa * ob).exact_div(ob))
+            if r:
+                with pytest.raises(ArithmeticError):
+                    a.exact_div(b)
+    if p == BIG:
+        assert len(calls) >= 10
+
+
+@pytest.mark.parametrize("p", [2, 7, 32771, BIG])
+def test_cancel_matches_poly_gcd(p):
+    # cancel stops once the gcd reaches 1; the gcd over all inputs by
+    # poly_gcd must cancel to the same pair
+    rng = random.Random("cancel %d" % p)
+    seen = set()
+    for case in range(80):
+        g = rand_poly(rng, p, rng.randrange(4)).monic()
+        h = rand_poly(rng, p, rng.randrange(4))
+        if g.is_zero() or h.is_zero():
+            continue
+        den = Poly([rng.randrange(1, p)], p) if case % 5 == 0 else g * h
+        entries = [Poly.zero(p) if rng.randrange(4) == 0
+                   else g * rand_poly(rng, p, rng.randrange(6))
+                   for _ in range(rng.randrange(1, 6))]
+        if case % 7 == 0:
+            entries = [e * h for e in entries]
+        full = den.monic()
+        for e in entries:
+            full = poly_gcd(full, e)
+        got = cancel(entries, den)
+        assert got == ([e.exact_div(full) for e in entries],
+                       den.exact_div(full))
+        seen.add("constant" if den.deg == 0 else "none" if full.is_one()
+                 else "full" if full == den.monic() else "partial")
+        seen.add("zero" if any(e.is_zero() for e in entries) else "nonzero")
+    assert seen == {"constant", "none", "full", "partial", "zero", "nonzero"}
 
 
 class TestPolyBasics:
@@ -45,7 +139,8 @@ class TestPolyBasics:
                 assert (a * b) == Poly(want, p)
 
     def test_kronecker_path_matches(self):
-        # p above the convolution threshold forces the big-int route
+        # p near 2^31: a product of two or more digits per factor could
+        # take a digit to 2^63, so it goes through _add_product
         p = (1 << 31) - 1
         assert not _is_prime_smallcheck(p) or True
         p = 2147483629  # prime below 2^31
